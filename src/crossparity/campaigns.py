@@ -13,16 +13,23 @@ Three strategies:
   Wilson 95% interval on the detection rate.
 
 Campaigns over the plain state register are evaluated through the parity
-arithmetic of the shadows (XOR of per-position lane/column masks), which
-agrees with a full engine run by construction and is cross-checked
-against one in the test suite.  Campaigns whose scope includes shadow
-registers run each trial through the engine, since only the full run can
-tell a false alarm from real corruption.
+arithmetic of the shadows, which agrees with a full engine run by
+construction and is cross-checked against one in the test suite.  The
+exhaustive strategies give each position, and each pair of positions, a
+key: the canonical id of its column mask (the XOR of the two masks for a
+pair), combined under z-sheet with the id of its lane mask.  A flip set
+escapes exactly when the keys of its two halves are equal, so one chunk
+worker counts escapes for every k by binary search in a sorted key
+table.  Monte Carlo sorts each sampled row instead.  Campaigns whose
+scope includes shadow registers run each trial through the engine, since
+only the full run can tell a false alarm from real corruption.
 
 Work is split into fixed-size chunks processed in a deterministic order,
-so results are identical for any worker count.  The worker count comes
-from the CROSSPARITY_WORKERS environment variable, defaulting to the
-available parallelism.
+so results are identical for any worker count.  Monte Carlo chunks go to
+a process pool; an exhaustive chunk is a few binary searches, cheaper
+than handing it to a worker, so those run in the calling process.  The
+worker count comes from the CROSSPARITY_WORKERS environment variable,
+defaulting to the available parallelism.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -191,7 +198,13 @@ def _worker_count(workers: int | None = None) -> int:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return count
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -206,48 +219,63 @@ def _map_chunks(fn, tasks, workers):
 
 
 # ----------------------------------------------------------------------
-# mask tables for the parity arithmetic
+# detectability keys for the parity arithmetic
+#
+# A position's column mask, or the XOR of the masks of two positions, has a
+# canonical id: 0 for the empty mask, 1 + u for the single column u, and
+# 1 + n + triu_index(u, v) for two columns u < v of n.  Lanes get ids the
+# same way; z-sheet folds both into one key (column id * lane radix + lane
+# id).  A pattern escapes exactly when its two halves have equal keys.
 
-@lru_cache(maxsize=1)
-def _sheet_masks():
-    p = np.arange(320)
-    lane = (1 << (p // 64)).astype(np.uint8)          # one-hot lane y
-    col = np.left_shift(np.uint64(1), (p % 64).astype(np.uint64))  # one-hot column z
-    return lane, col
-
-
-@lru_cache(maxsize=1)
-def _sheet_pairs():
-    lane, col = _sheet_masks()
-    a, b = np.triu_indices(320, 1)
-    a = a.astype(np.int32)
-    b = b.astype(np.int32)
-    start = np.zeros(321, dtype=np.int64)
-    start[1:] = np.cumsum(319 - np.arange(320))
-    return a, b, lane[a] ^ lane[b], col[a] ^ col[b], start
+def _classes(scheme: str, space: int):
+    """(class of every position, class count) for each mask the scheme checks."""
+    p = np.arange(space)
+    if space == 320:                  # one sheet: column z, lane y
+        col, lane = (p % 64, 64), (p // 64, 5)
+    else:                             # whole state: column (x, z), lane (x, y)
+        col, lane = ((p // 64 % 5) * 64 + p % 64, 320), (p // 64, 25)
+    return (col,) if scheme == "c-plane" else (col, lane)
 
 
-@lru_cache(maxsize=1)
-def _global_masks():
-    p = np.arange(1600)
-    lane = (1 << (p // 64)).astype(np.uint32)          # one-hot lane index
-    colw = np.zeros((5, 1600), dtype=np.uint64)        # one-hot column, plane per x
-    x = (p // 64) % 5
-    for i in range(5):
-        sel = x == i
-        colw[i, sel] = np.left_shift(np.uint64(1), (p[sel] % 64).astype(np.uint64))
-    return lane, colw
+def _key_table(scheme: str, space: int, pairs=None):
+    """Key of every position, or of every (a, b) pair of positions."""
+    classes = _classes(scheme, space)
+    dtype = np.min_scalar_type(prod(1 + n + comb(n, 2) for _, n in classes) - 1)
+    key = np.zeros(space if pairs is None else len(pairs[0]), dtype=dtype)
+    for cls, n in classes:
+        cls = cls.astype(dtype)
+        if pairs is None:
+            ids = 1 + cls
+        else:
+            xor_ids = np.zeros((n, n), dtype=dtype)
+            u, v = np.triu_indices(n, 1)
+            xor_ids[u, v] = xor_ids[v, u] = np.arange(1 + n, 1 + n + len(u))
+            ids = xor_ids[cls[pairs[0]], cls[pairs[1]]]
+        key = key * (1 + n + comb(n, 2)) + ids
+    return key
 
 
-@lru_cache(maxsize=1)
-def _global_pairs():
-    lane, colw = _global_masks()
-    a, b = np.triu_indices(1600, 1)
-    a = a.astype(np.int32)
-    b = b.astype(np.int32)
-    start = np.zeros(1601, dtype=np.int64)
-    start[1:] = np.cumsum(1599 - np.arange(1600))
-    return a, b, lane[a] ^ lane[b], colw[:, a] ^ colw[:, b], start
+def _ranked(key):
+    """The key table and its entries sorted by (key, index), packed as
+    key * len + index."""
+    n = len(key)
+    return key, np.sort(key.astype(np.int64) * n + np.arange(n))
+
+
+@lru_cache(maxsize=None)
+def _single_keys(scheme: str, space: int):
+    return _ranked(_key_table(scheme, space))
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(scheme: str, space: int):
+    """(a, b, start, key, ranked): the pairs a < b in enumeration order, the
+    index of the first pair whose a is each position, and the ranked keys."""
+    a, b = np.triu_indices(space, 1)
+    start = np.zeros(space + 1, dtype=np.int64)
+    start[1:] = np.cumsum(space - 1 - np.arange(space))
+    return (a.astype(np.int16), b.astype(np.int16), start,
+            *_ranked(_key_table(scheme, space, (a, b))))
 
 
 def _sheet_bit_to_state(sheet: int, pos: int) -> int:
@@ -262,111 +290,47 @@ def _witness(bits) -> tuple:
 # ----------------------------------------------------------------------
 # chunk workers (top level so they pickle)
 
-def _sheet_chunk(args):
-    """Evaluate one chunk of the per-sheet enumeration.
+def _chunk(args):
+    """Evaluate one chunk of an exhaustive enumeration over ``space``
+    positions: singles or pairs lo..hi-1 for k <= 2, first positions
+    lo..hi-1 for k = 3, first pairs lo..hi-1 for k = 4.
+
+    A pattern is a head (empty, a first position or a first pair) and one
+    table entry after it, and escapes when the entry's key equals the
+    head's (0 for the empty head).  A head's escaping entries are one run
+    of the ranked table, found by binary search.
 
     Returns (patterns evaluated, undetected count, first undetected
-    patterns as sheet-local position tuples, in enumeration order).
+    patterns as position tuples, in enumeration order).
     """
-    scheme, k, lo, hi = args
-    lane, col = _sheet_masks()
-    zsheet = scheme == "z-sheet"
-    evaluated = 0
-    undetected = 0
-    witnesses = []
-
-    def eval_block(und, positions_of):
-        nonlocal undetected
-        n = int(und.sum())
-        undetected += n
-        if n and len(witnesses) < MAX_WITNESSES:
-            for i in np.nonzero(und)[0][:MAX_WITNESSES - len(witnesses)]:
-                witnesses.append(positions_of(int(i)))
-
-    if k == 1:
-        sl = slice(lo, hi)
-        und = col[sl] == 0
-        if zsheet:
-            und &= lane[sl] == 0
-        evaluated = hi - lo
-        eval_block(und, lambda i: (lo + i,))
-    elif k == 2:
-        a, b, plm, pcm, _ = _sheet_pairs()
-        sl = slice(lo, hi)
-        und = pcm[sl] == 0
-        if zsheet:
-            und &= plm[sl] == 0
-        evaluated = hi - lo
-        eval_block(und, lambda i: (int(a[lo + i]), int(b[lo + i])))
-    elif k == 3:
-        a, b, plm, pcm, start = _sheet_pairs()
-        for first in range(lo, hi):
-            s = int(start[first + 1])
-            und = (pcm[s:] ^ col[first]) == 0
-            if zsheet:
-                und &= (plm[s:] ^ lane[first]) == 0
-            evaluated += pcm.shape[0] - s
-            eval_block(und, lambda i, f=first, s=s: (f, int(a[s + i]), int(b[s + i])))
-    elif k == 4:
-        a, b, plm, pcm, start = _sheet_pairs()
-        for p in range(lo, hi):
-            second = int(b[p])
-            s = int(start[second + 1])
-            und = pcm[s:] == pcm[p]
-            if zsheet:
-                und &= plm[s:] == plm[p]
-            evaluated += pcm.shape[0] - s
-            eval_block(und, lambda i, p=p, s=s: (int(a[p]), int(b[p]),
-                                                 int(a[s + i]), int(b[s + i])))
+    scheme, space, k, lo, hi = args
+    single, ranked = _single_keys(scheme, space)
+    key = single
+    if k > 1:
+        a, b, start, key, ranked = _pair_keys(scheme, space)
+    if k <= 2:
+        target, begin, end = np.zeros(1, np.int64), np.array([lo]), hi
     else:
-        raise ValueError("per-sheet enumeration supports k <= 4")
-    return evaluated, undetected, witnesses
-
-
-def _global_chunk(args):
-    scheme, k, lo, hi = args
-    lane, colw = _global_masks()
-    zsheet = scheme == "z-sheet"
-    evaluated = 0
-    undetected = 0
+        heads = np.arange(lo, hi)
+        if k == 3:
+            target, begin = single[heads], start[heads + 1]
+        else:
+            target, begin = key[heads], start[b[heads] + 1]
+        end = len(key)
+    n = len(key)
+    base = target.astype(np.int64) * n
+    first = np.searchsorted(ranked, base + begin)
+    counts = np.searchsorted(ranked, base + end) - first
     witnesses = []
-
-    def eval_block(und, positions_of):
-        nonlocal undetected
-        n = int(und.sum())
-        undetected += n
-        if n and len(witnesses) < MAX_WITNESSES:
-            for i in np.nonzero(und)[0][:MAX_WITNESSES - len(witnesses)]:
-                witnesses.append(positions_of(int(i)))
-
-    if k == 1:
-        sl = slice(lo, hi)
-        und = (colw[:, sl] == 0).all(axis=0)
-        if zsheet:
-            und &= lane[sl] == 0
-        evaluated = hi - lo
-        eval_block(und, lambda i: (lo + i,))
-    elif k == 2:
-        a, b, plm, pcw, _ = _global_pairs()
-        sl = slice(lo, hi)
-        und = (pcw[:, sl] == 0).all(axis=0)
-        if zsheet:
-            und &= plm[sl] == 0
-        evaluated = hi - lo
-        eval_block(und, lambda i: (int(a[lo + i]), int(b[lo + i])))
-    elif k == 3:
-        a, b, plm, pcw, start = _global_pairs()
-        for first in range(lo, hi):
-            s = int(start[first + 1])
-            und = (pcw[:, s:] ==
-                   colw[:, first][:, np.newaxis]).all(axis=0)
-            if zsheet:
-                und &= (plm[s:] ^ lane[first]) == 0
-            evaluated += plm.shape[0] - s
-            eval_block(und, lambda i, f=first, s=s: (f, int(a[s + i]), int(b[s + i])))
-    else:
-        raise ValueError("global enumeration supports k <= 3")
-    return evaluated, undetected, witnesses
+    for i in np.flatnonzero(counts):
+        room = MAX_WITNESSES - len(witnesses)
+        if not room:
+            break
+        h = lo + int(i)
+        head = () if k <= 2 else (h,) if k == 3 else (int(a[h]), int(b[h]))
+        for q in ranked[first[i]:first[i] + min(counts[i], room)] % n:
+            witnesses.append(head + ((int(q),) if k == 1 else (int(a[q]), int(b[q]))))
+    return int(np.sum(end - begin)), int(counts.sum()), witnesses
 
 
 def _sample_distinct(rng, n_rows, k, space):
@@ -413,7 +377,7 @@ def _chunk_ranges(total: int, width: int):
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
-def _run_exhaustive(spec: CampaignSpec, workers: int) -> CampaignReport:
+def _run_exhaustive(spec: CampaignSpec) -> CampaignReport:
     per_sheet = spec.strategy == "exhaustive-sheet"
     space = 320 if per_sheet else 1600
     if per_sheet and spec.k > 4:
@@ -424,19 +388,14 @@ def _run_exhaustive(spec: CampaignSpec, workers: int) -> CampaignReport:
     if total > spec.max_patterns:
         raise BudgetExceededError(total, spec.max_patterns)
 
-    if spec.k == 1:
-        tasks = [(spec.scheme, 1, 0, space)]
-    elif spec.k == 2:
-        tasks = [(spec.scheme, 2, 0, comb(space, 2))]
+    if spec.k <= 2:
+        ranges = [(0, total)]
     elif spec.k == 3:
-        width = _CHUNK_A_SHEET if per_sheet else _CHUNK_A_GLOBAL
-        tasks = [(spec.scheme, 3, lo, hi) for lo, hi in _chunk_ranges(space - 2, width)]
+        ranges = _chunk_ranges(space - 2, _CHUNK_A_SHEET if per_sheet else _CHUNK_A_GLOBAL)
     else:
-        tasks = [(spec.scheme, 4, lo, hi)
-                 for lo, hi in _chunk_ranges(comb(space, 2), _CHUNK_PAIRS_SHEET)]
-
-    fn = _sheet_chunk if per_sheet else _global_chunk
-    results = _map_chunks(fn, tasks, workers)
+        ranges = _chunk_ranges(comb(space, 2), _CHUNK_PAIRS_SHEET)
+    tasks = [(spec.scheme, space, spec.k, lo, hi) for lo, hi in ranges]
+    results = [_chunk(t) for t in tasks]
 
     evaluated = sum(r[0] for r in results)
     undetected = sum(r[1] for r in results)
@@ -469,7 +428,7 @@ def _run_random_state(spec: CampaignSpec, workers: int) -> CampaignReport:
         witnesses=mc.witnesses, sheet=None, scope=spec.scope)
 
 
-def _scope_space(scheme: str, scope) -> list:
+def _scope_space(scope) -> list:
     order = ("state", "c_prime", "f_prime", "cf_prime")
     widths = {"state": 1600, **SHADOW_WIDTHS}
     space = []
@@ -482,7 +441,7 @@ def _scope_space(scheme: str, scope) -> list:
 def _run_random_fullsim(spec: CampaignSpec, workers: int) -> CampaignReport:
     """Engine-level campaign; needed once shadow registers are in scope."""
     del workers  # trial counts here are small; keep the runs in order
-    space = _scope_space(spec.scheme, spec.scope)
+    space = _scope_space(spec.scope)
     rng = np.random.default_rng([spec.seed, len(space)])
     slots = NUM_ROUNDS // spec.unroll
     from .engine import hash_message
@@ -518,7 +477,7 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
     w = _worker_count(workers)
     start = time.perf_counter()
     if spec.strategy in ("exhaustive-sheet", "exhaustive-global"):
-        report = _run_exhaustive(spec, w)
+        report = _run_exhaustive(spec)
     else:
         if spec.trials > spec.max_patterns:
             raise BudgetExceededError(spec.trials, spec.max_patterns)

@@ -35,11 +35,8 @@ from .keccak import NUM_ROUNDS, StateArray, round_step
 
 STATE_BYTES = 200
 SHIFT_RATE_BYTES = 168        # shared shift-register width in bytes
-SHIFT_CAPACITY_BYTES = STATE_BYTES - SHIFT_RATE_BYTES
 
 UNROLL_FACTORS = (1, 2, 4, 6, 8, 12, 24)
-
-PHASES = ("absorbing", "padding", "permuting", "squeezing")
 
 
 @dataclass(frozen=True)
@@ -151,10 +148,6 @@ class Engine:
     @property
     def state_bytes(self) -> bytes:
         return bytes(self._state)
-
-    @property
-    def state_array(self) -> StateArray:
-        return StateArray.from_bytes(bytes(self._state))
 
     def _shift(self, in_byte: int) -> None:
         s = self._state

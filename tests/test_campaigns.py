@@ -5,8 +5,11 @@ counting of the undetected families, and (on a narrowed column window)
 plain brute force over all subsets.
 """
 
+import json
 import math
+import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,13 @@ from crossparity.campaigns import (
     DEFAULT_PATTERN_BUDGET,
     MAX_WITNESSES,
     STRATEGIES,
+    WORKERS_ENV,
     BudgetExceededError,
     CampaignSpec,
+    _pair_keys,
+    _sheet_bit_to_state,
+    _single_keys,
+    _worker_count,
     monte_carlo_rate,
     run_campaign,
     undetected_census,
@@ -156,6 +164,83 @@ def test_worker_count_does_not_change_results():
     a = record_without_timing(run_campaign(spec, workers=1))
     b = record_without_timing(run_campaign(spec, workers=3))
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_records_match_golden(workers):
+    # Records of the earlier per-position mask-XOR implementation: counts
+    # and witness lists, in enumeration order.
+    golden = json.loads(Path(__file__).with_name("golden_exhaustive.json").read_text())
+    for want in golden:
+        spec = CampaignSpec(scheme=want["scheme"], k=want["k"],
+                            strategy=want["strategy"], sheet=want["sheet"] or 0)
+        assert record_without_timing(run_campaign(spec, workers=workers)) == want
+
+
+def _keys_equal(scheme, space, positions):
+    """Verdict of the key tables: the keys of the two halves are equal
+    (a single position against a pair for k = 3, the empty key 0 for k <= 2)."""
+    single, _ = _single_keys(scheme, space)
+    a, b, start, key, _ = _pair_keys(scheme, space)
+
+    def pair(p, q):
+        j = start[p] + q - p - 1
+        assert (a[j], b[j]) == (p, q)
+        return key[j]
+
+    ps = sorted(positions)
+    if len(ps) == 1:
+        return single[ps[0]] == 0
+    if len(ps) == 2:
+        return pair(*ps) == 0
+    if len(ps) == 3:
+        return single[ps[0]] == pair(*ps[1:])
+    return pair(*ps[:2]) == pair(*ps[2:])
+
+
+@pytest.mark.parametrize("scheme", ["c-plane", "z-sheet"])
+@pytest.mark.parametrize("space, ks", [(320, (1, 2, 3, 4)), (1600, (1, 2, 3))])
+def test_keys_agree_with_detectability_predicate(scheme, space, ks):
+    rng = random.Random(f"keys/{scheme}/{space}")
+    escapes = 0
+    for k in ks:
+        for trial in range(300):
+            sheet = rng.randrange(5)
+            if trial % 2:
+                pool = range(space)
+            else:  # a few lanes and columns, where escaping sets are common
+                xs = rng.sample(range(5), 1 if space == 320 else 2)
+                ys, zs = rng.sample(range(5), 2), rng.sample(range(64), 2)
+                pool = [64 * (5 * y + x) + z if space == 1600 else 64 * y + z
+                        for x in xs for y in ys for z in zs]
+            positions = rng.sample(pool, k)
+            bits = [_sheet_bit_to_state(sheet, p) for p in positions] \
+                if space == 320 else positions
+            escaped = _keys_equal(scheme, space, positions)
+            assert escaped == (detectability_predicate(bits, scheme) is False), \
+                (k, positions)
+            escapes += bool(escaped)
+    # z-sheet sees every flip set of weight <= 3
+    assert (escapes > 0) == (scheme == "c-plane" or 4 in ks)
+
+
+def test_global_singles_build_no_pair_table():
+    _pair_keys.cache_clear()
+    for scheme in ("c-plane", "z-sheet"):
+        run_campaign(CampaignSpec(scheme=scheme, k=1, strategy="exhaustive-global"),
+                     workers=1)
+    assert _pair_keys.cache_info().currsize == 0
+    assert _single_keys.cache_info().currsize >= 2
+
+
+def test_worker_count_from_environment(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    assert _worker_count() == 3
+    assert _worker_count(1) == 1
+    for bad in ("two", "0", "-1", "1.5"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*{bad!r}"):
+            _worker_count()
 
 
 # ----------------------------------------------------------------------

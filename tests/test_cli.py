@@ -1,8 +1,11 @@
 """Tests for the command-line interface and the response-file parser."""
 
+import gc
 import hashlib
 import json
 import os
+import sys
+import warnings
 from textwrap import dedent
 
 import pytest
@@ -228,6 +231,20 @@ def test_kat_replays_bundled_fixture(name, capsys):
     assert "records passed" in capsys.readouterr().out
 
 
+def test_kat_replay_closes_the_fixture(tmp_path, capsys, monkeypatch):
+    # An unclosed handle warns when it is collected, inside a destructor,
+    # where the warning turned error is reported as unraisable.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    f = tmp_path / "good.rsp"
+    f.write_text(GOOD_SHA3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["kat", "--fixture", str(f)]) == 0
+        gc.collect()
+    assert unraisable == []
+
+
 # ----------------------------------------------------------------------
 # campaign subcommand
 
@@ -282,6 +299,14 @@ def test_campaign_cli_rejects_bad_spec(capsys):
     assert main(["campaign", "--k", "1", "--strategy", "random"]) == 2  # no trials
     assert main(["campaign", "--k", "1", "--strategy", "random", "--trials", "10",
                  "--scope", "state,flux"]) == 2
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_campaign_cli_rejects_bad_worker_count(value, capsys, monkeypatch):
+    monkeypatch.setenv("CROSSPARITY_WORKERS", value)
+    assert main(["campaign", "--k", "2", "--strategy", "exhaustive-sheet"]) == 2
+    err = capsys.readouterr().err
+    assert "CROSSPARITY_WORKERS" in err and repr(value) in err
 
 
 def test_campaign_cli_shadow_scope(capsys):
