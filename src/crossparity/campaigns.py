@@ -44,8 +44,9 @@ from math import comb, prod
 import numpy as np
 
 from .engine import UNROLL_FACTORS
-from .faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
-from .fd import SCHEMES, SHADOW_WIDTHS, detectability_predicate
+from .faults import (REGISTER_WIDTHS, FaultPattern, FaultTarget, InjectionSchedule,
+                     inject_and_run)
+from .fd import SCHEMES, detectability_predicate
 from .keccak import NUM_ROUNDS
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
@@ -105,10 +106,13 @@ class CampaignSpec:
         if not 0 <= self.sheet < 5:
             raise ValueError("sheet index must be 0..4")
         for reg in self.scope:
-            if reg != "state" and reg not in SHADOW_WIDTHS:
+            if reg not in REGISTER_WIDTHS:
                 raise ValueError(f"unknown register {reg!r} in scope")
         if not self.scope:
             raise ValueError("scope must name at least one register")
+        width = sum(REGISTER_WIDTHS[reg] for reg in set(self.scope))
+        if self.k > width:
+            raise ValueError(f"k = {self.k} exceeds the {width} bits in scope")
         if self.scheme == "c-plane" and set(self.scope) & {"f_prime", "cf_prime"}:
             raise ValueError("f_prime/cf_prime only exist under z-sheet")
         if self.scope != ("state",) and self.strategy != "random":
@@ -229,7 +233,7 @@ def _map_chunks(fn, tasks, workers):
 
 def _classes(scheme: str, space: int):
     """(class of every position, class count) for each mask the scheme checks."""
-    p = np.arange(space)
+    p = np.arange(space, dtype=np.int32)
     if space == 320:                  # one sheet: column z, lane y
         col, lane = (p % 64, 64), (p // 64, 5)
     else:                             # whole state: column (x, z), lane (x, y)
@@ -361,10 +365,9 @@ def _mc_chunk(args):
     scheme, k, seed, chunk_index, n = args
     rng = np.random.default_rng([seed, chunk_index])
     arr = _sample_distinct(rng, n, k, 1600)
-    cols = (arr // 64 % 5) * 64 + arr % 64
-    und = _rows_all_even(cols)
-    if scheme == "z-sheet":
-        und &= _rows_all_even(arr // 64)
+    und = np.ones(n, dtype=bool)
+    for cls, _ in _classes(scheme, 1600):
+        und &= _rows_all_even(cls[arr])
     witnesses = [tuple(int(v) for v in sorted(arr[i]))
                  for i in np.nonzero(und)[0][:MAX_WITNESSES]]
     return n, int(und.sum()), witnesses
@@ -429,13 +432,8 @@ def _run_random_state(spec: CampaignSpec, workers: int) -> CampaignReport:
 
 
 def _scope_space(scope) -> list:
-    order = ("state", "c_prime", "f_prime", "cf_prime")
-    widths = {"state": 1600, **SHADOW_WIDTHS}
-    space = []
-    for reg in order:
-        if reg in scope:
-            space.extend((reg, bit) for bit in range(widths[reg]))
-    return space
+    return [(reg, bit) for reg, width in REGISTER_WIDTHS.items() if reg in scope
+            for bit in range(width)]
 
 
 def _run_random_fullsim(spec: CampaignSpec, workers: int) -> CampaignReport:
@@ -601,6 +599,8 @@ def _mc_rate(k: int, trials: int, seed: int, scheme: str,
         raise ValueError(f"unknown scheme {scheme!r}")
     if k < 1 or trials < 1:
         raise ValueError("k and trials must be positive")
+    if k > 1600:
+        raise ValueError(f"k = {k} exceeds the 1600 state bits")
     w = _worker_count(workers)
     tasks = [(scheme, k, seed, idx, min(_CHUNK_MC, trials - lo))
              for idx, lo in enumerate(range(0, trials, _CHUNK_MC))]

@@ -162,12 +162,13 @@ def cmd_kat(args) -> int:
         try:
             eng = Engine(rec.mode, fd=None if args.fd == "none" else args.fd,
                          unroll=args.unroll)
+            n = eng.resolve_out_len(len(rec.expected))
         except ValueError as exc:
-            print(exc, file=sys.stderr)
+            print(f"bad fixture: line {rec.line}: {exc}", file=sys.stderr)
             return 2
         eng.absorb(rec.msg)
         eng.finish()
-        got = eng.squeeze(len(rec.expected))
+        got = eng.squeeze(n)
         if got != rec.expected:
             failures.append((rec, got))
     if skipped:

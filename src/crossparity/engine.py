@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fd import FdConfig, FdRegisters, mask_output
+from .fd import FdConfig, FdRegisters
 from .keccak import NUM_ROUNDS, StateArray, round_step
 
 STATE_BYTES = 200
@@ -112,8 +112,11 @@ class Engine:
 
     Attributes mirror the hardware registers: ``state_bytes`` (the
     200-byte state, low 168 acting as the shift register), ``ratecount``
-    (shifts since the last permutation), ``phase``, ``round_idx``,
-    ``cycles`` and the sticky output ``masked`` flag.  ``injector``, when
+    (shifts since the last permutation), ``phase``, ``round_idx`` and
+    ``cycles``.  The output gate is the detection unit's sticky error
+    flag, read as ``masked``: each squeezed byte is emitted as zero once
+    the flag is up, and ``squeezed`` keeps the ungated bytes shifted out
+    since the last reset.  ``injector``, when
     set, is called at every commit window of every permutation with
     (permutation_index, commit_slot) and may return fault targets to
     apply; it exists for the fault campaigns and has no effect otherwise.
@@ -140,10 +143,14 @@ class Engine:
         self.phase = "absorbing"
         self.round_idx = 0
         self.cycles = 0
-        self.masked = False
         self.permutation_index = 0
+        self.squeezed = bytearray()
         if self.fd is not None:
             self.fd = FdRegisters(self.fd_config)
+
+    @property
+    def masked(self) -> bool:
+        return self.fd is not None and self.fd.error
 
     @property
     def state_bytes(self) -> bytes:
@@ -238,7 +245,6 @@ class Engine:
                 sa, c, f = round_step(sa, r)
                 if r == slot * self.unroll and fd is not None:
                     fd.check(c, f)
-                    mask_output(self, fd)
                 self.round_idx = r + 1
             self.cycles += 1
             if fd is not None:
@@ -259,11 +265,12 @@ class Engine:
             raise RuntimeError(f"cannot squeeze in phase {self.phase!r}")
         if self.ratecount >= self.mode.rate_bytes:
             raise RuntimeError("mode block exhausted; refresh first")
-        b = 0x00 if self.masked else self._state[0]
+        b = self._state[0]
         self._shift(0)
         self.ratecount += 1
         self.cycles += 1
-        return b
+        self.squeezed.append(b)
+        return 0x00 if self.masked else b
 
     def _refresh(self) -> None:
         while self.ratecount < SHIFT_RATE_BYTES:
@@ -273,7 +280,7 @@ class Engine:
         self.run_permutation()
 
     def squeeze(self, n: int) -> bytes:
-        """Emit ``n`` digest bytes (zeros if the output is masked)."""
+        """Emit ``n`` digest bytes, each zero if the output is masked."""
         if self.phase != "squeezing":
             raise RuntimeError(f"cannot squeeze in phase {self.phase!r}")
         out = bytearray()
@@ -282,19 +289,6 @@ class Engine:
                 self._refresh()
             out.append(self.squeeze_byte())
         return bytes(out)
-
-    def squeeze_raw(self, n: int) -> bytes:
-        """Diagnostic squeeze that bypasses output masking.
-
-        The fault campaigns use this to tell a masked-but-correct digest
-        from a genuinely corrupted one; it is not part of the datapath.
-        """
-        saved = self.masked
-        self.masked = False
-        try:
-            return self.squeeze(n)
-        finally:
-            self.masked = saved
 
     def resolve_out_len(self, out_len: int | None) -> int:
         if self.mode.digest_bytes is not None:

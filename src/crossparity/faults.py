@@ -103,9 +103,11 @@ class InjectionResult:
     outcome: str
     error_raised: bool
     masked: bool
-    digest: bytes           # unmasked digest of the faulted run
+    digest: bytes           # ungated digest of the faulted run
     golden: bytes
-    emitted: bytes = field(repr=False, default=b"")  # what the engine actually output
+    # what the engine output: zeros from the first byte squeezed after the
+    # error flag went up
+    emitted: bytes = field(repr=False, default=b"")
 
 
 def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
@@ -131,8 +133,8 @@ def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
     eng.injector = injector
     eng.absorb(message)
     eng.finish()
-    digest = eng.squeeze_raw(n)
-    emitted = bytes(n) if eng.masked else digest
+    emitted = eng.squeeze(n)
+    digest = bytes(eng.squeezed)
     if fired == 0:
         raise ValueError(
             f"schedule never fired: run had {eng.permutation_index} permutations, "

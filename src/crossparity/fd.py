@@ -14,8 +14,9 @@ Two protection levels over the 1600-bit state:
   weight 3 and leaves weight-4 rectangles (two lanes times two columns
   inside one sheet) as the smallest blind spot.
 
-The error flag is sticky until the engine is reset; a raised flag masks
-the digest output.  Faults landing in the shadow registers themselves can
+The error flag is sticky until the engine is reset, and it is the
+engine's output gate: every digest byte squeezed after the flag goes up
+is emitted as zero.  Faults landing in the shadow registers themselves can
 only raise false alarms, never hide a corrupted state.
 """
 
@@ -127,12 +128,6 @@ class FdRegisters:
             self.f_prime ^= 1 << bit
         else:
             self.cf_prime ^= 1 << bit
-
-
-def mask_output(engine, fd: FdRegisters) -> None:
-    """Latch the engine's output mask once the error flag is up."""
-    if fd.error:
-        engine.masked = True
 
 
 def detectability_predicate(pattern, scheme: str | FdConfig) -> bool:

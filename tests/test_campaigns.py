@@ -80,6 +80,21 @@ def test_spec_rejections():
                      scope=("state", "c_prime"))
 
 
+def test_spec_rejects_k_above_scope_width():
+    for scope, width in ((("state",), 1600), (("c_prime",), 320),
+                         (("f_prime", "cf_prime"), 30),
+                         (("state", "c_prime", "f_prime", "cf_prime"), 1950)):
+        CampaignSpec(scheme="z-sheet", k=width, strategy="random", trials=1, scope=scope)
+        with pytest.raises(ValueError, match=f"k = {width + 1} .* {width} bits"):
+            CampaignSpec(scheme="z-sheet", k=width + 1, strategy="random", trials=1,
+                         scope=scope)
+
+
+def test_monte_carlo_rejects_k_above_state_width():
+    with pytest.raises(ValueError, match="k = 1601 .* 1600"):
+        monte_carlo_rate(1601, 10_000, seed=0)
+
+
 def test_spec_is_frozen():
     spec = CampaignSpec(scheme="z-sheet", k=1, strategy="exhaustive-global")
     with pytest.raises(AttributeError):

@@ -225,6 +225,25 @@ def test_kat_reports_skipped_records(tmp_path, capsys):
     assert "2/2 records passed" in out
 
 
+@pytest.mark.parametrize("digest, line", [
+    (hashlib.sha3_256(b"abc").hexdigest()[:8], 10),   # a truncated MD
+    ("", 10),                                           # an empty MD
+])
+def test_kat_rejects_wrong_length_sha3_digest(tmp_path, capsys, digest, line):
+    f = tmp_path / "short.rsp"
+    f.write_text(GOOD_SHA3.replace(hashlib.sha3_256(b"abc").hexdigest(), digest))
+    assert main(["kat", "--fixture", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad fixture: line {line}:" in err and "32 bytes" in err
+
+
+def test_kat_rejects_empty_shake_output(tmp_path, capsys):
+    f = tmp_path / "empty.rsp"
+    f.write_text(GOOD_SHAKE.format(""))
+    assert main(["kat", "--fixture", str(f)]) == 2
+    assert "bad fixture: line 12:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["SHA3_512ShortMsg.rsp", "SHAKE128VariableOut.rsp"])
 def test_kat_replays_bundled_fixture(name, capsys):
     assert main(["kat", "--fixture", os.path.join(VECTOR_DIR, name)]) == 0
@@ -307,6 +326,15 @@ def test_campaign_cli_rejects_bad_worker_count(value, capsys, monkeypatch):
     assert main(["campaign", "--k", "2", "--strategy", "exhaustive-sheet"]) == 2
     err = capsys.readouterr().err
     assert "CROSSPARITY_WORKERS" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("scope, width", [("state", 1600), ("c_prime", 320)])
+def test_campaign_cli_rejects_k_above_scope_width(scope, width, capsys):
+    # Rejection sampling of k distinct bits from fewer than k never ends.
+    assert main(["campaign", "--k", "2000", "--strategy", "random", "--trials", "1",
+                 "--scope", scope]) == 2
+    err = capsys.readouterr().err
+    assert "2000" in err and str(width) in err
 
 
 def test_campaign_cli_shadow_scope(capsys):

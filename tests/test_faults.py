@@ -4,10 +4,12 @@ Each test runs real hashes with bit flips applied at commit windows and
 checks the outcome classification against the fault-free digest.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from crossparity.fd import SHADOW_WIDTHS
 from crossparity.faults import (
     OUTCOMES,
     REGISTER_WIDTHS,
@@ -199,3 +201,58 @@ def test_xof_injection_needs_out_len():
     assert len(res.golden) == 16
     with pytest.raises(ValueError):
         inject_and_run("shake128", MSG, state_pattern(4), InjectionSchedule(0, 2))
+
+
+# ----------------------------------------------------------------------
+# the output gate on multi-block SHAKE outputs
+
+XOF_RATE = {"shake128": 168, "shake256": 136}
+
+
+def test_shadow_flip_before_squeeze_gates_the_whole_xof_output():
+    golden = hashlib.shake_128(bytes(10)).digest(400)
+    p = FaultPattern((FaultTarget("c_prime", 77),))
+    res = inject_and_run("shake128", bytes(10), p, InjectionSchedule(0, 5),
+                         out_len=400)
+    assert res.outcome == "spurious-error"
+    assert res.digest == res.golden == golden
+    assert res.emitted == bytes(400)
+
+
+def test_shadow_flip_in_a_refresh_gates_from_the_next_block():
+    golden = hashlib.shake_128(bytes(10)).digest(400)
+    p = FaultPattern((FaultTarget("c_prime", 77),))
+    res = inject_and_run("shake128", bytes(10), p, InjectionSchedule(1, 5),
+                         out_len=400)
+    assert res.outcome == "spurious-error"
+    assert res.error_raised and res.masked
+    assert res.digest == golden
+    assert res.emitted[:168] == golden[:168]
+    assert res.emitted[168:] == bytes(400 - 168)
+
+
+@pytest.mark.parametrize("scheme", ["c-plane", "z-sheet"])
+@pytest.mark.parametrize("mode", ["shake128", "shake256"])
+def test_shadow_faults_across_multi_block_xof_runs(mode, scheme):
+    # A shadow-only fault at any permutation of the run, absorb or squeeze,
+    # is a false alarm: the digest is right, and the gate shuts at the
+    # first rate block squeezed after the permutation that caught it.
+    rng = random.Random(f"{mode}/{scheme}")
+    rate = XOF_RATE[mode]
+    shadows = [FaultTarget(reg, bit) for reg, width in SHADOW_WIDTHS.items()
+               if scheme == "z-sheet" or reg == "c_prime" for bit in range(width)]
+    for blocks in (2, 3):
+        msg = rng.randbytes(rng.randrange(rate, 2 * rate))
+        out_len = rng.randrange((blocks - 1) * rate + 1, blocks * rate + 1)
+        golden = getattr(hashlib, mode.replace("shake", "shake_"))(msg).digest(out_len)
+        absorbs = len(msg) // rate + 1
+        for perm in range(absorbs + blocks - 1):
+            unroll = rng.choice((1, 2, 4, 6, 8, 12, 24))
+            pattern = FaultPattern(tuple(rng.sample(shadows, rng.randint(1, 2))))
+            schedule = InjectionSchedule(perm, rng.randrange(24 // unroll))
+            res = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                 unroll=unroll, out_len=out_len)
+            assert res.outcome == "spurious-error", (blocks, perm, pattern)
+            assert res.digest == golden
+            open_bytes = max(0, perm - absorbs + 1) * rate
+            assert res.emitted == golden[:open_bytes] + bytes(out_len - open_bytes)

@@ -5,6 +5,7 @@ arithmetic on real states) are exercised as two independent routes to the
 same verdicts.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -18,9 +19,9 @@ from crossparity.fd import (
     FdConfig,
     FdRegisters,
     detectability_predicate,
-    mask_output,
 )
 from crossparity.engine import Engine
+from crossparity.faults import FaultTarget
 from crossparity.keccak import StateArray, column_sums, lane_sums
 
 idx = StateArray.linear_index
@@ -218,17 +219,37 @@ def test_flip_validation():
 # ----------------------------------------------------------------------
 # output masking
 
-def test_mask_output_latches():
-    eng = Engine("sha3-256", fd="z-sheet")
-    fd = eng.fd
-    mask_output(eng, fd)
+def test_error_flag_gates_output_until_reset(monkeypatch):
+    # A c_prime flip at the pad permutation's first window raises the flag.
+    # The checks after it pass, through two SHAKE refreshes, and the gate
+    # stays shut; reset() opens it again.
+    verdicts = []
+    real_check = FdRegisters.check
+
+    def check(self, c, f):
+        verdicts.append(real_check(self, c, f))
+        return verdicts[-1]
+
+    monkeypatch.setattr(FdRegisters, "check", check)
+    eng = Engine("shake128", fd="z-sheet")
     assert eng.masked is False
-    fd.error = True
-    mask_output(eng, fd)
+    eng.injector = lambda perm, slot: \
+        (FaultTarget("c_prime", 3),) if (perm, slot) == (0, 0) else None
+    eng.absorb(b"gate")
+    eng.finish()
     assert eng.masked is True
-    fd.error = False
-    mask_output(eng, fd)
-    assert eng.masked is True
+    assert eng.squeeze(3 * 168) == bytes(3 * 168)
+    assert eng.permutation_index == 3
+    assert verdicts == [True] + [False] * (3 * 24 - 1)
+    assert eng.fd.error is True and eng.masked is True
+    assert bytes(eng.squeezed) == hashlib.shake_128(b"gate").digest(3 * 168)
+
+    eng.reset()
+    assert eng.masked is False and eng.squeezed == b""
+    eng.injector = None
+    eng.absorb(b"gate")
+    eng.finish()
+    assert eng.squeeze(200) == hashlib.shake_128(b"gate").digest(200)
 
 
 # ----------------------------------------------------------------------
