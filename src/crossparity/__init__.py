@@ -1,7 +1,7 @@
 """Byte-serial SHA-3/SHAKE engine model with cross-parity fault detection."""
 
 from .engine import Engine, ModeConfig, hash_message, mode_params, throughput_model
-from .fd import FdConfig, FdRegisters, detectability_predicate
+from .fd import FdRegisters, detectability_predicate
 from .faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
 from .campaigns import (
     CampaignSpec,
@@ -17,7 +17,6 @@ __all__ = [
     "hash_message",
     "mode_params",
     "throughput_model",
-    "FdConfig",
     "FdRegisters",
     "detectability_predicate",
     "FaultPattern",

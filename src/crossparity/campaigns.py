@@ -39,11 +39,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 
-from .engine import UNROLL_FACTORS
+from .engine import UNROLL_FACTORS, hash_message
 from .faults import (REGISTER_WIDTHS, FaultPattern, FaultTarget, InjectionSchedule,
                      inject_and_run)
 from .fd import SCHEMES, detectability_predicate
@@ -436,13 +437,12 @@ def _scope_space(scope) -> list:
             for bit in range(width)]
 
 
-def _run_random_fullsim(spec: CampaignSpec, workers: int) -> CampaignReport:
-    """Engine-level campaign; needed once shadow registers are in scope."""
-    del workers  # trial counts here are small; keep the runs in order
+def _run_random_fullsim(spec: CampaignSpec) -> CampaignReport:
+    """Engine-level campaign; needed once shadow registers are in scope.
+    Trial counts here are small, so the runs stay in order in this process."""
     space = _scope_space(spec.scope)
     rng = np.random.default_rng([spec.seed, len(space)])
     slots = NUM_ROUNDS // spec.unroll
-    from .engine import hash_message
     golden = hash_message(_FULLSIM_MODE, _FULLSIM_MESSAGE)
     counts = {"detected": 0, "silent-corruption": 0, "benign": 0, "spurious-error": 0}
     witnesses = []
@@ -482,7 +482,7 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
         if spec.scope == ("state",):
             report = _run_random_state(spec, w)
         else:
-            report = _run_random_fullsim(spec, w)
+            report = _run_random_fullsim(spec)
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -541,7 +541,6 @@ def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
     if scheme == "c-plane":
         if k % 2 == 0:
             # pairs of flips sharing a column, one pair per column of sheet 0
-            from itertools import combinations
             for cols in combinations(range(64), k // 2):
                 bits = []
                 for z in cols:
@@ -550,7 +549,6 @@ def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
                 if len(out) >= limit:
                     break
     elif k == 4:
-        from itertools import combinations
         for (y1, y2), (z1, z2) in (
                 (ly, cz)
                 for ly in combinations(range(5), 2)
@@ -559,7 +557,6 @@ def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
             if len(out) >= limit:
                 break
     elif k == 6:
-        from itertools import combinations
         for (y1, y2, y3), (z1, z2, z3) in (
                 (ly, cz)
                 for ly in combinations(range(5), 3)

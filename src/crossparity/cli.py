@@ -13,7 +13,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .campaigns import BudgetExceededError, CampaignSpec, run_campaign
+from .campaigns import (
+    DEFAULT_PATTERN_BUDGET,
+    BudgetExceededError,
+    CampaignSpec,
+    run_campaign,
+)
 from .engine import (
     DESIGN_FREQ_MHZ,
     Engine,
@@ -282,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sheet index for exhaustive-sheet")
     sp.add_argument("--scope", default="state",
                     help="comma-separated fault-eligible registers")
-    sp.add_argument("--max-patterns", type=int, default=None,
-                    help="pattern budget override")
+    sp.add_argument("--max-patterns", type=int, default=DEFAULT_PATTERN_BUDGET,
+                    help="pattern budget (default: %(default)s)")
     sp.add_argument("--report", default=None, help="write a JSON report here")
     common(sp, fd_default="z-sheet", fd_alias=True)
     sp.set_defaults(func=cmd_campaign)
@@ -299,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_patterns", 0) is None:
-        args.max_patterns = CampaignSpec.__dataclass_fields__["max_patterns"].default
     return args.func(args)
 
 

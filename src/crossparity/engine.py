@@ -20,9 +20,11 @@ a five-way selector: 0x06/0x1f (first pad byte), 0x00 (middle), 0x80
 
 The permutation runs 24 rounds in groups of ``unroll`` rounds per
 register commit.  If a detection unit is attached it is primed from the
-register at permutation entry and after every commit, and every group's
-first-round theta taps are checked against the last prime, so each commit
-window is covered.  During absorb/squeeze shifting the shadows go stale
+register at permutation entry and after every commit, and at every
+group's first round the column sums (and, under z-sheet, the lane sums)
+of the state read back from the register are checked against the last
+prime, so each commit window is covered.  The sums are computed only at
+these check rounds.  During absorb/squeeze shifting the shadows go stale
 and are invalidated.
 """
 
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fd import FdConfig, FdRegisters
-from .keccak import NUM_ROUNDS, StateArray, round_step
+from .fd import FdRegisters
+from .keccak import NUM_ROUNDS, StateArray, column_sums, lane_sums, round_step
 
 STATE_BYTES = 200
 SHIFT_RATE_BYTES = 168        # shared shift-register width in bytes
@@ -122,18 +124,12 @@ class Engine:
     apply; it exists for the fault campaigns and has no effect otherwise.
     """
 
-    def __init__(self, mode: str | ModeConfig, fd: str | FdConfig | None = None,
-                 unroll: int = 1):
-        self.mode = mode_params(mode) if isinstance(mode, str) else mode
+    def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
+        self.mode = mode_params(mode)
         if unroll not in UNROLL_FACTORS:
             raise ValueError(f"unroll must be one of {UNROLL_FACTORS}")
         self.unroll = unroll
-        if fd is None:
-            self.fd_config = None
-            self.fd = None
-        else:
-            self.fd_config = FdConfig(fd) if isinstance(fd, str) else fd
-            self.fd = FdRegisters(self.fd_config)
+        self.fd = None if fd is None else FdRegisters(fd)
         self.injector = None
         self.reset()
 
@@ -146,7 +142,7 @@ class Engine:
         self.permutation_index = 0
         self.squeezed = bytearray()
         if self.fd is not None:
-            self.fd = FdRegisters(self.fd_config)
+            self.fd = FdRegisters(self.fd.scheme)
 
     @property
     def masked(self) -> bool:
@@ -237,14 +233,15 @@ class Engine:
         fd = self.fd
         if fd is not None:
             fd.prime(sa)
+            lanes = fd.scheme == "z-sheet"
         groups = NUM_ROUNDS // self.unroll
         for slot in range(groups):
             if self.injector is not None:
                 sa = self._apply_injection(sa, slot)
+            if fd is not None:
+                fd.check(column_sums(sa), lane_sums(sa) if lanes else 0)
             for r in range(slot * self.unroll, (slot + 1) * self.unroll):
-                sa, c, f = round_step(sa, r)
-                if r == slot * self.unroll and fd is not None:
-                    fd.check(c, f)
+                sa = round_step(sa, r)
                 self.round_idx = r + 1
             self.cycles += 1
             if fd is not None:

@@ -14,6 +14,12 @@ Two protection levels over the 1600-bit state:
   weight 3 and leaves weight-4 rectangles (two lanes times two columns
   inside one sheet) as the smallest blind spot.
 
+Every shadow is a plain int in the layout of the value it copies (see
+``keccak``): C' has bit 64*x + z, F' bit x + 5*y and C'_F bit x, so a
+fault target's bit index is the register bit it flips.  The engine
+computes the column sums at each check round, and the lane sums only
+under z-sheet.
+
 The error flag is sticky until the engine is reset, and it is the
 engine's output gate: every digest byte squeezed after the flag goes up
 is emitted as zero.  Faults landing in the shadow registers themselves can
@@ -23,9 +29,8 @@ only raise false alarms, never hide a corrupted state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .keccak import CPlane, FSlice, StateArray, column_sums, lane_sums
+from .keccak import StateArray, column_sums, lane_sums
 
 SCHEMES = ("c-plane", "z-sheet")
 
@@ -33,73 +38,57 @@ SCHEMES = ("c-plane", "z-sheet")
 SHADOW_WIDTHS = {"c_prime": 320, "f_prime": 25, "cf_prime": 5}
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Protection scheme selector."""
-
-    scheme: str
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def has_lane_parity(self) -> bool:
-        return self.scheme == "z-sheet"
-
-
-def _f_column_parities(f_bits: int) -> int:
+def _f_column_parities(f: int) -> int:
     """5-bit column parity of a 25-bit lane-parity slice (bit x + 5y)."""
-    out = 0
-    for x in range(5):
-        p = 0
-        for y in range(5):
-            p ^= (f_bits >> (x + 5 * y)) & 1
-        out |= p << x
-    return out
+    return (f ^ f >> 5 ^ f >> 10 ^ f >> 15 ^ f >> 20) & 0x1F
 
 
 class FdRegisters:
     """Shadow parity registers plus the sticky error flag.
 
     ``prime`` snapshots the parities of a freshly committed state;
-    ``check`` compares them against the theta taps of the state actually
-    read back from the register one commit later.  Between permutations
-    the engine shifts bytes through the state without theta running, so
-    the shadows go stale and must be invalidated until the next prime.
+    ``check`` compares them against the column and lane sums of the
+    state actually read back from the register one commit later.  Between
+    permutations the engine shifts bytes through the state without theta
+    running, so the shadows go stale and must be invalidated until the
+    next prime.
     """
 
-    __slots__ = ("config", "c_prime", "f_prime", "cf_prime", "primed", "error")
+    __slots__ = ("scheme", "c_prime", "f_prime", "cf_prime", "primed", "error")
 
-    def __init__(self, config: FdConfig | str):
-        self.config = FdConfig(config) if isinstance(config, str) else config
-        self.c_prime = [0] * 5
+    def __init__(self, scheme: str):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        self.scheme = scheme
+        self.c_prime = 0
         self.f_prime = 0
         self.cf_prime = 0
         self.primed = False
         self.error = False
 
     def prime(self, committed: StateArray) -> None:
-        self.c_prime = list(column_sums(committed).cols)
-        if self.config.has_lane_parity:
-            self.f_prime = lane_sums(committed).bits
+        self.c_prime = column_sums(committed)
+        if self.scheme == "z-sheet":
+            self.f_prime = lane_sums(committed)
             self.cf_prime = _f_column_parities(self.f_prime)
         self.primed = True
 
     def invalidate(self) -> None:
         self.primed = False
 
-    def check(self, c: CPlane, f: FSlice) -> bool:
-        """Compare theta taps against the shadows; returns this check's verdict.
+    def check(self, c: int, f: int) -> bool:
+        """Compare a C plane and an F slice against the shadows; returns
+        this check's verdict.
 
         The sticky error flag is ORed with the result.  For z-sheet the
-        lane parities and the F' guard parities are folded in as well.
+        lane parities and the F' guard parities are folded in as well;
+        c-plane ignores ``f``.
         """
         if not self.primed:
             raise RuntimeError("check without a prior prime")
-        mismatch = any(c.cols[x] != self.c_prime[x] for x in range(5))
-        if self.config.has_lane_parity:
-            mismatch |= f.bits != self.f_prime
+        mismatch = c != self.c_prime
+        if self.scheme == "z-sheet":
+            mismatch |= f != self.f_prime
             mismatch |= not self.check_fprime()
         if mismatch:
             self.error = True
@@ -111,7 +100,7 @@ class FdRegisters:
         number of flips within one column of F' passes unnoticed here,
         but any F' corruption still trips the main lane-parity compare.
         """
-        if not self.config.has_lane_parity:
+        if self.scheme != "z-sheet":
             raise RuntimeError("the F' guard only exists under z-sheet")
         return _f_column_parities(self.f_prime) == self.cf_prime
 
@@ -122,15 +111,10 @@ class FdRegisters:
             raise ValueError(f"unknown shadow register {register!r}")
         if not 0 <= bit < width:
             raise ValueError(f"bit {bit} out of range for {register}")
-        if register == "c_prime":
-            self.c_prime[bit // 64] ^= 1 << (bit % 64)
-        elif register == "f_prime":
-            self.f_prime ^= 1 << bit
-        else:
-            self.cf_prime ^= 1 << bit
+        setattr(self, register, getattr(self, register) ^ 1 << bit)
 
 
-def detectability_predicate(pattern, scheme: str | FdConfig) -> bool:
+def detectability_predicate(pattern, scheme: str) -> bool:
     """Closed-form verdict for a set of state-register bit flips.
 
     ``pattern`` is an iterable of linear state bit indices, or a fault
@@ -139,8 +123,6 @@ def detectability_predicate(pattern, scheme: str | FdConfig) -> bool:
     iff every column (x, z) receives an even number of flips; z-sheet
     additionally requires an even count in every lane (x, y).
     """
-    if isinstance(scheme, FdConfig):
-        scheme = scheme.scheme
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if hasattr(pattern, "state_bits"):

@@ -6,10 +6,17 @@ state string (little-endian within the lane), so bit (x, y, z) has linear
 index 64*(5y+x) + z.  All external bit positions (fault targets, test
 vectors) use that linear index.
 
-Besides the plain round function, theta exposes the two parity planes the
-detection logic taps: the column sums C[x][z] that theta computes anyway,
-and the lane sums F[x][y] (parity of each lane), which fall out of the
-same layer at no extra cost.
+The detection logic taps two parity values, each a plain int whose bit
+index is the index the rest of the package uses:
+
+* the C plane, ``column_sums``: the column sums C[x][z] that theta
+  computes anyway, 320 bits with bit 64*x + z (the ``c_prime`` fault
+  target and the column id of a state bit i, which is i % 320);
+* the F slice, ``lane_sums``: the lane parities F[x][y], 25 bits with
+  bit x + 5*y (the ``f_prime`` fault target and the lane id i // 64).
+
+The round function returns only the state.  The engine reads the taps
+at check rounds, from the state it reads back out of the register.
 """
 
 from __future__ import annotations
@@ -116,86 +123,28 @@ class StateArray:
         return f"StateArray({self.to_bytes().hex()})"
 
 
-class CPlane:
-    """320-bit column-parity plane: bit (x, z) is the parity of column (x, z)."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols: tuple[int, ...]):
-        if len(cols) != 5 or any(c >> 64 for c in cols):
-            raise ValueError("plane is 5 columns of 64 bits")
-        object.__setattr__(self, "cols", tuple(cols))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CPlane is immutable")
-
-    def bit(self, x: int, z: int) -> int:
-        return (self.cols[x] >> z) & 1
-
-    def __eq__(self, other):
-        return isinstance(other, CPlane) and self.cols == other.cols
-
-    def __hash__(self):
-        return hash(self.cols)
-
-    def __repr__(self):
-        return "CPlane(%s)" % ", ".join(hex(c) for c in self.cols)
+def _columns(lanes) -> list[int]:
+    """The five 64-bit column-sum lanes: bit z of entry x is C[x][z]."""
+    return [lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
+            for x in range(5)]
 
 
-class FSlice:
-    """25-bit lane-parity slice: bit x + 5*y is the parity of lane (x, y)."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int):
-        if bits >> 25:
-            raise ValueError("slice is 25 bits")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FSlice is immutable")
-
-    def bit(self, x: int, y: int) -> int:
-        return (self.bits >> (x + 5 * y)) & 1
-
-    def __eq__(self, other):
-        return isinstance(other, FSlice) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __repr__(self):
-        return f"FSlice({self.bits:#09x})"
+def column_sums(state: StateArray) -> int:
+    """The C plane: bit 64*x + z is the parity of column (x, z)."""
+    return sum(c << 64 * x for x, c in enumerate(_columns(state.lanes)))
 
 
-def column_sums(state: StateArray) -> CPlane:
-    """C[x][z] = parity of the five state bits in column (x, z)."""
+def lane_sums(state: StateArray) -> int:
+    """The F slice: bit x + 5*y is the parity of lane (x, y)."""
+    return sum((lane.bit_count() & 1) << i for i, lane in enumerate(state.lanes))
+
+
+def theta(state: StateArray) -> StateArray:
+    """Theta layer: D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64."""
     l = state.lanes
-    return CPlane(tuple(l[x] ^ l[x + 5] ^ l[x + 10] ^ l[x + 15] ^ l[x + 20]
-                        for x in range(5)))
-
-
-def lane_sums(state: StateArray) -> FSlice:
-    """F[x][y] = parity of lane (x, y)."""
-    bits = 0
-    for i, lane in enumerate(state.lanes):
-        bits |= (lane.bit_count() & 1) << i
-    return FSlice(bits)
-
-
-def theta(state: StateArray) -> tuple[StateArray, CPlane, FSlice]:
-    """Theta layer; also returns the C plane and F slice of the *input* state.
-
-    D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64.
-    """
-    l = state.lanes
-    c = [l[x] ^ l[x + 5] ^ l[x + 10] ^ l[x + 15] ^ l[x + 20] for x in range(5)]
+    c = _columns(l)
     d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-    out = tuple(l[i] ^ d[i % 5] for i in range(25))
-    f = 0
-    for i in range(25):
-        f |= (l[i].bit_count() & 1) << i
-    return StateArray(out), CPlane(tuple(c)), FSlice(f)
+    return StateArray(tuple(l[i] ^ d[i % 5] for i in range(25)))
 
 
 def rho_pi(state: StateArray) -> StateArray:
@@ -228,13 +177,12 @@ def iota(state: StateArray, round_index: int) -> StateArray:
     return StateArray(tuple(lanes))
 
 
-def round_step(state: StateArray, round_index: int) -> tuple[StateArray, CPlane, FSlice]:
-    """One full round; returns the new state plus the input's parity taps."""
-    t, c, f = theta(state)
-    return iota(chi(rho_pi(t)), round_index), c, f
+def round_step(state: StateArray, round_index: int) -> StateArray:
+    """One full round."""
+    return iota(chi(rho_pi(theta(state))), round_index)
 
 
 def permute(state: StateArray) -> StateArray:
     for i in range(NUM_ROUNDS):
-        state, _, _ = round_step(state, i)
+        state = round_step(state, i)
     return state

@@ -26,6 +26,8 @@ from crossparity.engine import (
     select_pad_byte,
     throughput_model,
 )
+from crossparity.fd import FdRegisters
+from crossparity.keccak import StateArray, column_sums, lane_sums, round_step
 
 MODE_NAMES = tuple(MODES)
 
@@ -368,6 +370,25 @@ def test_detection_attached_runs_clean():
         assert eng.squeeze(64) == reference_digest("shake256", msg, 64)
         assert not eng.masked
         assert eng.fd.error is False
+
+
+@pytest.mark.parametrize("scheme", ["c-plane", "z-sheet"])
+def test_checks_read_the_sums_of_each_group_input(monkeypatch, scheme):
+    # Every group's check compares the sums of the state entering its first
+    # round; the lane sums are computed under z-sheet only.
+    seen = []
+    monkeypatch.setattr(FdRegisters, "check", lambda self, c, f: seen.append((c, f)))
+    eng = Engine("sha3-256", fd=scheme, unroll=4)
+    eng.finish()
+    block = pad(1088, 0, "sha3")
+    sa = StateArray.from_bytes(block + bytes(200 - len(block)))
+    want = []
+    for r in range(24):
+        if r % 4 == 0:
+            want.append((column_sums(sa), lane_sums(sa) if scheme == "z-sheet" else 0))
+        sa = round_step(sa, r)
+    assert seen == want
+    assert eng.state_bytes == sa.to_bytes()
 
 
 # ----------------------------------------------------------------------

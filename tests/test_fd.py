@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from crossparity.fd import (
     SCHEMES,
     SHADOW_WIDTHS,
-    FdConfig,
     FdRegisters,
     detectability_predicate,
 )
+from crossparity.campaigns import _classes
 from crossparity.engine import Engine
 from crossparity.faults import FaultTarget
 from crossparity.keccak import StateArray, column_sums, lane_sums
@@ -40,10 +40,9 @@ def taps(sa):
 # configuration
 
 def test_scheme_validation():
-    assert FdConfig("c-plane").has_lane_parity is False
-    assert FdConfig("z-sheet").has_lane_parity is True
+    assert FdRegisters("z-sheet").scheme == "z-sheet"
     with pytest.raises(ValueError):
-        FdConfig("row-parity")
+        FdRegisters("row-parity")
     assert SCHEMES == ("c-plane", "z-sheet")
 
 
@@ -60,18 +59,35 @@ def test_prime_snapshots_parities():
     assert not fd.primed
     fd.prime(sa)
     assert fd.primed
-    assert fd.c_prime == list(column_sums(sa).cols)
-    assert fd.f_prime == lane_sums(sa).bits
+    assert fd.c_prime == column_sums(sa)
+    assert fd.f_prime == lane_sums(sa)
 
 
 def test_prime_single_bit_state():
     sa = StateArray.zeros().with_flips([idx(1, 2, 9)])
     fd = FdRegisters("z-sheet")
     fd.prime(sa)
-    assert fd.c_prime[1] == 1 << 9
-    assert sum(v for i, v in enumerate(fd.c_prime) if i != 1) == 0
+    assert fd.c_prime == 1 << (64 * 1 + 9)
     assert fd.f_prime == 1 << (1 + 5 * 2)
     assert fd.cf_prime == 1 << 1
+
+
+def test_one_parity_format():
+    # The taps, the shadows, the fault targets and the campaign classes share
+    # one index: a state bit's column id is its C-plane bit and its c_prime
+    # target, its lane id is its F-slice bit and its f_prime target.
+    (col, _), (lane, _) = _classes("z-sheet", 1600)
+    for p in range(1600):
+        single = StateArray.zeros().with_flips([p])
+        assert column_sums(single) == 1 << int(col[p])
+        assert lane_sums(single) == 1 << int(lane[p])
+        want = FdRegisters("z-sheet")
+        want.prime(single)
+        for register, bit in (("c_prime", col[p]), ("f_prime", lane[p])):
+            got = FdRegisters("z-sheet")
+            got.prime(StateArray.zeros())
+            got.flip(register, int(bit))
+            assert getattr(got, register) == getattr(want, register)
 
 
 def test_cplane_prime_skips_lane_parity():
@@ -276,10 +292,6 @@ def test_predicate_cross_sheet_column_pairs():
     quad = [idx(0, 1, 7), idx(0, 2, 7), idx(3, 0, 40), idx(3, 4, 40)]
     assert detectability_predicate(quad, "c-plane") is False
     assert detectability_predicate(quad, "z-sheet") is True
-
-
-def test_predicate_accepts_config_objects():
-    assert detectability_predicate([5], FdConfig("c-plane")) is True
 
 
 def test_predicate_validation():
