@@ -18,18 +18,20 @@ construction and is cross-checked against one in the test suite.  The
 exhaustive strategies give each position, and each pair of positions, a
 key: the canonical id of its column mask (the XOR of the two masks for a
 pair), combined under z-sheet with the id of its lane mask.  A flip set
-escapes exactly when the keys of its two halves are equal, so one chunk
-worker counts escapes for every k by binary search in a sorted key
-table.  Monte Carlo sorts each sampled row instead.  Campaigns whose
-scope includes shadow registers run each trial through the engine, since
-only the full run can tell a false alarm from real corruption.
+escapes exactly when the keys of its two halves are equal, so one pass
+of binary searches in a sorted key table counts the escapes of every
+head of an exhaustive sweep at once.  Monte Carlo sorts each sampled row
+instead.  Campaigns whose scope includes shadow registers run each trial
+through the engine, since only the full run can tell a false alarm from
+real corruption.
 
-Work is split into fixed-size chunks processed in a deterministic order,
-so results are identical for any worker count.  Monte Carlo chunks go to
-a process pool; an exhaustive chunk is a few binary searches, cheaper
-than handing it to a worker, so those run in the calling process.  The
-worker count comes from the CROSSPARITY_WORKERS environment variable,
-defaulting to the available parallelism.
+Each strategy returns its tallies and ``run_campaign`` builds the one
+report from them.  Exhaustive sweeps run in one pass in the calling
+process.  Monte Carlo alone is split into chunks: fixed-size chunks of
+trials, each drawn from its own seeded generator and handed to a process
+pool, so results are identical for any worker count.  The worker count
+comes from the CROSSPARITY_WORKERS environment variable, defaulting to
+the available parallelism.
 """
 
 from __future__ import annotations
@@ -56,12 +58,9 @@ MAX_WITNESSES = 16
 
 STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 
-# chunk widths; fixed so that chunk boundaries never depend on the worker
-# count (determinism) while staying coarse enough to amortise overhead
-_CHUNK_A_SHEET = 40        # first-index range per chunk, k = 3
-_CHUNK_PAIRS_SHEET = 4096  # pair-prefix range per chunk, k = 4
-_CHUNK_A_GLOBAL = 50
-_CHUNK_MC = 1 << 16        # Monte Carlo trials per chunk
+# Monte Carlo trials per chunk; fixed so that the sampled patterns never
+# depend on the worker count
+_CHUNK_MC = 1 << 16
 
 _FULLSIM_MODE = "sha3-256"
 _FULLSIM_MESSAGE = b"engine-level fault campaign"
@@ -169,17 +168,6 @@ class CensusResult:
     witnesses: list
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    total: int
-    detected: int
-    undetected: int
-    rate: float
-    ci_low: float
-    ci_high: float
-    witnesses: list
-
-
 def _wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
     if total == 0:
         return 0.0, 1.0
@@ -214,13 +202,6 @@ def _worker_count(workers: int | None = None) -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _map_chunks(fn, tasks, workers):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
 
 
 # ----------------------------------------------------------------------
@@ -293,49 +274,43 @@ def _witness(bits) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# chunk workers (top level so they pickle)
+# sweep and sampling kernels
 
-def _chunk(args):
-    """Evaluate one chunk of an exhaustive enumeration over ``space``
-    positions: singles or pairs lo..hi-1 for k <= 2, first positions
-    lo..hi-1 for k = 3, first pairs lo..hi-1 for k = 4.
+def _sweep(scheme: str, space: int, k: int):
+    """Count the escaping weight-k subsets of ``space`` positions.
 
-    A pattern is a head (empty, a first position or a first pair) and one
-    table entry after it, and escapes when the entry's key equals the
-    head's (0 for the empty head).  A head's escaping entries are one run
-    of the ranked table, found by binary search.
+    A pattern is a head (empty for k <= 2, a first position for k = 3, a
+    first pair for k = 4) and one table entry after it, and escapes when
+    the entry's key equals the head's (0 for the empty head).  A head's
+    escaping entries are one run of the ranked table, so one binary
+    search per head end counts them all.
 
     Returns (patterns evaluated, undetected count, first undetected
     patterns as position tuples, in enumeration order).
     """
-    scheme, space, k, lo, hi = args
     single, ranked = _single_keys(scheme, space)
     key = single
     if k > 1:
         a, b, start, key, ranked = _pair_keys(scheme, space)
-    if k <= 2:
-        target, begin, end = np.zeros(1, np.int64), np.array([lo]), hi
-    else:
-        heads = np.arange(lo, hi)
-        if k == 3:
-            target, begin = single[heads], start[heads + 1]
-        else:
-            target, begin = key[heads], start[b[heads] + 1]
-        end = len(key)
     n = len(key)
+    if k <= 2:
+        target, begin = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    elif k == 3:
+        target, begin = single[:space - 2], start[1:space - 1]
+    else:
+        target, begin = key, start[b + 1]
     base = target.astype(np.int64) * n
     first = np.searchsorted(ranked, base + begin)
-    counts = np.searchsorted(ranked, base + end) - first
-    witnesses = []
-    for i in np.flatnonzero(counts):
-        room = MAX_WITNESSES - len(witnesses)
+    counts = np.searchsorted(ranked, base + n) - first
+    patterns = []
+    for h in np.flatnonzero(counts):
+        room = MAX_WITNESSES - len(patterns)
         if not room:
             break
-        h = lo + int(i)
-        head = () if k <= 2 else (h,) if k == 3 else (int(a[h]), int(b[h]))
-        for q in ranked[first[i]:first[i] + min(counts[i], room)] % n:
-            witnesses.append(head + ((int(q),) if k == 1 else (int(a[q]), int(b[q]))))
-    return int(np.sum(end - begin)), int(counts.sum()), witnesses
+        head = () if k <= 2 else (int(h),) if k == 3 else (int(a[h]), int(b[h]))
+        for q in ranked[first[h]:first[h] + min(counts[h], room)] % n:
+            patterns.append(head + ((int(q),) if k == 1 else (int(a[q]), int(b[q]))))
+    return int(np.sum(n - begin)), int(counts.sum()), patterns
 
 
 def _sample_distinct(rng, n_rows, k, space):
@@ -363,25 +338,22 @@ def _rows_all_even(mat):
 
 
 def _mc_chunk(args):
+    """One Monte Carlo chunk (top level so it pickles): the undetected
+    count and the first undetected draws."""
     scheme, k, seed, chunk_index, n = args
     rng = np.random.default_rng([seed, chunk_index])
     arr = _sample_distinct(rng, n, k, 1600)
     und = np.ones(n, dtype=bool)
     for cls, _ in _classes(scheme, 1600):
         und &= _rows_all_even(cls[arr])
-    witnesses = [tuple(int(v) for v in sorted(arr[i]))
-                 for i in np.nonzero(und)[0][:MAX_WITNESSES]]
-    return n, int(und.sum()), witnesses
+    return int(und.sum()), arr[np.flatnonzero(und)[:MAX_WITNESSES]]
 
 
 # ----------------------------------------------------------------------
-# strategy drivers
+# strategy drivers: each returns (total, detected, undetected, spurious,
+# witnesses)
 
-def _chunk_ranges(total: int, width: int):
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
-
-
-def _run_exhaustive(spec: CampaignSpec) -> CampaignReport:
+def _run_exhaustive(spec: CampaignSpec):
     per_sheet = spec.strategy == "exhaustive-sheet"
     space = 320 if per_sheet else 1600
     if per_sheet and spec.k > 4:
@@ -391,45 +363,25 @@ def _run_exhaustive(spec: CampaignSpec) -> CampaignReport:
     total = comb(space, spec.k)
     if total > spec.max_patterns:
         raise BudgetExceededError(total, spec.max_patterns)
-
-    if spec.k <= 2:
-        ranges = [(0, total)]
-    elif spec.k == 3:
-        ranges = _chunk_ranges(space - 2, _CHUNK_A_SHEET if per_sheet else _CHUNK_A_GLOBAL)
-    else:
-        ranges = _chunk_ranges(comb(space, 2), _CHUNK_PAIRS_SHEET)
-    tasks = [(spec.scheme, space, spec.k, lo, hi) for lo, hi in ranges]
-    results = [_chunk(t) for t in tasks]
-
-    evaluated = sum(r[0] for r in results)
-    undetected = sum(r[1] for r in results)
+    evaluated, undetected, patterns = _sweep(spec.scheme, space, spec.k)
     if evaluated != total:
         raise AssertionError(f"enumeration covered {evaluated} of {total} patterns")
-    witnesses = []
-    for r in results:
-        for pat in r[2]:
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-            bits = [_sheet_bit_to_state(spec.sheet, p) for p in pat] if per_sheet \
-                else list(pat)
-            witnesses.append(_witness(bits))
-    detected = total - undetected
-    rate = detected / total
-    return CampaignReport(
-        scheme=spec.scheme, unroll=spec.unroll, k=spec.k, strategy=spec.strategy,
-        total=total, detected=detected, undetected=undetected, spurious=0,
-        rate=rate, ci_low=rate, ci_high=rate, seed=spec.seed,
-        witnesses=witnesses, sheet=spec.sheet if per_sheet else None,
-        scope=spec.scope)
+    if per_sheet:
+        patterns = [[_sheet_bit_to_state(spec.sheet, p) for p in pat] for pat in patterns]
+    return total, total - undetected, undetected, 0, [_witness(p) for p in patterns]
 
 
-def _run_random_state(spec: CampaignSpec, workers: int) -> CampaignReport:
-    mc = _mc_rate(spec.k, spec.trials, spec.seed, spec.scheme, workers)
-    return CampaignReport(
-        scheme=spec.scheme, unroll=spec.unroll, k=spec.k, strategy="random",
-        total=mc.total, detected=mc.detected, undetected=mc.undetected, spurious=0,
-        rate=mc.rate, ci_low=mc.ci_low, ci_high=mc.ci_high, seed=spec.seed,
-        witnesses=mc.witnesses, sheet=None, scope=spec.scope)
+def _run_random_state(spec: CampaignSpec, workers: int):
+    tasks = [(spec.scheme, spec.k, spec.seed, idx, min(_CHUNK_MC, spec.trials - lo))
+             for idx, lo in enumerate(range(0, spec.trials, _CHUNK_MC))]
+    if workers <= 1 or len(tasks) <= 1:
+        results = [_mc_chunk(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_mc_chunk, tasks))
+    undetected = sum(r[0] for r in results)
+    witnesses = [_witness(bits) for r in results for bits in r[1]][:MAX_WITNESSES]
+    return spec.trials, spec.trials - undetected, undetected, 0, witnesses
 
 
 def _scope_space(scope) -> list:
@@ -437,7 +389,7 @@ def _scope_space(scope) -> list:
             for bit in range(width)]
 
 
-def _run_random_fullsim(spec: CampaignSpec) -> CampaignReport:
+def _run_random_fullsim(spec: CampaignSpec):
     """Engine-level campaign; needed once shadow registers are in scope.
     Trial counts here are small, so the runs stay in order in this process."""
     space = _scope_space(spec.scope)
@@ -455,14 +407,8 @@ def _run_random_fullsim(spec: CampaignSpec) -> CampaignReport:
         counts[res.outcome] += 1
         if res.outcome == "silent-corruption" and len(witnesses) < MAX_WITNESSES:
             witnesses.append(tuple((t.register, t.bit) for t in pattern.targets))
-    detected = counts["detected"]
-    rate = detected / spec.trials
-    lo, hi = _wilson_interval(detected, spec.trials)
-    return CampaignReport(
-        scheme=spec.scheme, unroll=spec.unroll, k=spec.k, strategy="random",
-        total=spec.trials, detected=detected, undetected=counts["silent-corruption"],
-        spurious=counts["spurious-error"], rate=rate, ci_low=lo, ci_high=hi,
-        seed=spec.seed, witnesses=witnesses, sheet=None, scope=spec.scope)
+    return (spec.trials, counts["detected"], counts["silent-corruption"],
+            counts["spurious-error"], witnesses)
 
 
 def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignReport:
@@ -470,30 +416,40 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
 
     Shadow-register scopes run every trial through the engine against the
     digest of a fixed reference message; state-only campaigns evaluate
-    the parity arithmetic directly.
+    the parity arithmetic directly.  Exhaustive rates are exact (the
+    interval is the rate itself); sampled rates carry a Wilson interval.
     """
     w = _worker_count(workers)
     start = time.perf_counter()
-    if spec.strategy in ("exhaustive-sheet", "exhaustive-global"):
-        report = _run_exhaustive(spec)
+    exhaustive = spec.strategy != "random"
+    if exhaustive:
+        tallies = _run_exhaustive(spec)
     else:
         if spec.trials > spec.max_patterns:
             raise BudgetExceededError(spec.trials, spec.max_patterns)
         if spec.scope == ("state",):
-            report = _run_random_state(spec, w)
+            tallies = _run_random_state(spec, w)
         else:
-            report = _run_random_fullsim(spec)
-    report.wall_time = time.perf_counter() - start
-    return report
+            tallies = _run_random_fullsim(spec)
+    total, detected, undetected, spurious, witnesses = tallies
+    rate = detected / total
+    lo, hi = (rate, rate) if exhaustive else _wilson_interval(detected, total)
+    return CampaignReport(
+        scheme=spec.scheme, unroll=spec.unroll, k=spec.k, strategy=spec.strategy,
+        total=total, detected=detected, undetected=undetected, spurious=spurious,
+        rate=rate, ci_low=lo, ci_high=hi, seed=spec.seed, witnesses=witnesses,
+        sheet=spec.sheet if spec.strategy == "exhaustive-sheet" else None,
+        scope=spec.scope, wall_time=time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------
 # exact census and Monte Carlo
 
-def _sheet_undetected_by_weight(max_w: int) -> list[int]:
-    """Count of weight-w flip sets inside one sheet with every lane and
-    every column even, via a column-by-column transfer over the 2^5 lane
-    parity states.  Exact integers.
+def _sheet_undetected_by_weight(max_w: int, scheme: str) -> list[int]:
+    """Count of weight-w flip sets inside one sheet that the scheme cannot
+    see: every column even, and under z-sheet every lane even too.  A
+    column-by-column transfer over the 2^5 lane parity states; c-plane
+    sums the final states, z-sheet keeps the all-even one.  Exact integers.
     """
     even_subsets = [(bin(m).count("1"), m) for m in range(32)
                     if bin(m).count("1") % 2 == 0]
@@ -511,7 +467,7 @@ def _sheet_undetected_by_weight(max_w: int) -> list[int]:
                     if w + j <= max_w:
                         ndp[w + j][r ^ m] += v
         dp = ndp
-    return [dp[w][0] for w in range(max_w + 1)]
+    return [sum(row) if scheme == "c-plane" else row[0] for row in dp]
 
 
 def _poly_mul(a, b, trunc):
@@ -522,17 +478,6 @@ def _poly_mul(a, b, trunc):
                 if i + j < trunc and bv:
                     out[i + j] += av * bv
     return out
-
-
-def _poly_pow(p, n, trunc):
-    result = [1] + [0] * (trunc - 1)
-    base = list(p[:trunc]) + [0] * max(0, trunc - len(p))
-    while n:
-        if n & 1:
-            result = _poly_mul(result, base, trunc)
-        base = _poly_mul(base, base, trunc)
-        n >>= 1
-    return result
 
 
 def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
@@ -571,59 +516,36 @@ def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
 
 
 def undetected_census(k: int, scheme: str) -> CensusResult:
-    """Exact number of weight-k state flip sets the scheme cannot see."""
+    """Exact number of weight-k state flip sets the scheme cannot see.
+
+    Every column and every lane lies inside one sheet, so the state's
+    count is the five-fold product of the per-sheet counts.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not 1 <= k <= 6:
         raise ValueError("census supports k = 1..6")
-    trunc = k + 1
-    if scheme == "c-plane":
-        # per column: even-sized cell subsets, 1 + 10 t^2 + 5 t^4
-        per_column = [1, 0, 10, 0, 5]
-        counts = _poly_pow(per_column, 320, trunc)
-    else:
-        per_sheet = _sheet_undetected_by_weight(k)
-        counts = _poly_pow(per_sheet, 5, trunc)
+    per_sheet = _sheet_undetected_by_weight(k, scheme)
+    counts = [1]
+    for _ in range(5):
+        counts = _poly_mul(counts, per_sheet, k + 1)
     count = counts[k]
     return CensusResult(k=k, scheme=scheme, count=count,
                         fraction=count / comb(1600, k),
                         witnesses=_census_witnesses(k, scheme) if count else [])
 
 
-def _mc_rate(k: int, trials: int, seed: int, scheme: str,
-             workers: int | None) -> MonteCarloResult:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if k < 1 or trials < 1:
-        raise ValueError("k and trials must be positive")
-    if k > 1600:
-        raise ValueError(f"k = {k} exceeds the 1600 state bits")
-    w = _worker_count(workers)
-    tasks = [(scheme, k, seed, idx, min(_CHUNK_MC, trials - lo))
-             for idx, lo in enumerate(range(0, trials, _CHUNK_MC))]
-    results = _map_chunks(_mc_chunk, tasks, w)
-    total = sum(r[0] for r in results)
-    undetected = sum(r[1] for r in results)
-    witnesses = []
-    for r in results:
-        for bits in r[2]:
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-            witnesses.append(_witness(bits))
-    detected = total - undetected
-    rate = detected / total
-    lo, hi = _wilson_interval(detected, total)
-    return MonteCarloResult(total=total, detected=detected, undetected=undetected,
-                            rate=rate, ci_low=lo, ci_high=hi, witnesses=witnesses)
-
-
 def monte_carlo_rate(k: int, trials: int, seed: int, scheme: str = "z-sheet",
-                     workers: int | None = None) -> MonteCarloResult:
-    """Detection rate over seeded uniform weight-k flip sets of the state.
+                     workers: int | None = None) -> CampaignReport:
+    """Detection rate over seeded uniform weight-k flip sets of the state:
+    the report of the random strategy over the state register.
 
     Meant for statistical estimates, so the trial count has a floor; small
-    draws go through run_campaign with the random strategy instead.
+    draws go through run_campaign with the random strategy instead.  The
+    floor, not the pattern budget, bounds this entry point.
     """
     if trials < 10_000:
         raise ValueError("monte_carlo_rate needs at least 10^4 trials")
-    return _mc_rate(k, trials, seed, scheme, workers)
+    return run_campaign(CampaignSpec(scheme=scheme, k=k, strategy="random",
+                                     trials=trials, seed=seed, max_patterns=trials),
+                        workers)

@@ -16,7 +16,8 @@ next permutation.
 
 Padding is the usual domain-separated pad10*1, byte-granular, produced by
 a five-way selector: 0x06/0x1f (first pad byte), 0x00 (middle), 0x80
-(last), 0x86/0x9f (single-byte pad).
+(last), 0x86/0x9f (single-byte pad).  ``finish`` absorbs the whole
+string ``pad`` returns.
 
 The permutation runs 24 rounds in groups of ``unroll`` rounds per
 register commit.  If a detection unit is attached it is primed from the
@@ -114,14 +115,14 @@ class Engine:
 
     Attributes mirror the hardware registers: ``state_bytes`` (the
     200-byte state, low 168 acting as the shift register), ``ratecount``
-    (shifts since the last permutation), ``phase``, ``round_idx`` and
-    ``cycles``.  The output gate is the detection unit's sticky error
-    flag, read as ``masked``: each squeezed byte is emitted as zero once
-    the flag is up, and ``squeezed`` keeps the ungated bytes shifted out
-    since the last reset.  ``injector``, when
-    set, is called at every commit window of every permutation with
-    (permutation_index, commit_slot) and may return fault targets to
-    apply; it exists for the fault campaigns and has no effect otherwise.
+    (shifts since the last permutation), ``phase`` and ``cycles``.  The
+    output gate is the detection unit's sticky error flag, read as
+    ``masked``: each squeezed byte is emitted as zero once the flag is
+    up, and ``squeezed`` keeps the ungated bytes shifted out since the
+    last reset.  ``injector``, when set, is called at every commit
+    window of every permutation with (permutation_index, commit_slot) and
+    may return fault targets to apply; it exists for the fault campaigns
+    and has no effect otherwise.
     """
 
     def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
@@ -137,7 +138,6 @@ class Engine:
         self._state = bytearray(STATE_BYTES)
         self.ratecount = 0
         self.phase = "absorbing"
-        self.round_idx = 0
         self.cycles = 0
         self.permutation_index = 0
         self.squeezed = bytearray()
@@ -191,9 +191,8 @@ class Engine:
         if self.phase != "absorbing":
             raise RuntimeError(f"cannot finish in phase {self.phase!r}")
         self.phase = "padding"
-        n_pad = self.mode.rate_bytes - self.ratecount
-        for i in range(n_pad):
-            self.absorb_byte(select_pad_byte(i, n_pad, self.mode.domain))
+        for b in pad(self.mode.rate_bits, 8 * self.ratecount, self.mode.domain):
+            self.absorb_byte(b)
         self.absorb_zero_fill()
         self.run_permutation()
         self.phase = "squeezing"
@@ -242,7 +241,6 @@ class Engine:
                 fd.check(column_sums(sa), lane_sums(sa) if lanes else 0)
             for r in range(slot * self.unroll, (slot + 1) * self.unroll):
                 sa = round_step(sa, r)
-                self.round_idx = r + 1
             self.cycles += 1
             if fd is not None:
                 fd.prime(sa)
@@ -250,7 +248,6 @@ class Engine:
             fd.invalidate()
         self._state[:] = sa.to_bytes()
         self.ratecount = 0
-        self.round_idx = 0
         self.permutation_index += 1
         self.phase = outer_phase
 

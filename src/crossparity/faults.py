@@ -102,7 +102,6 @@ class InjectionSchedule:
 class InjectionResult:
     outcome: str
     error_raised: bool
-    masked: bool
     digest: bytes           # ungated digest of the faulted run
     golden: bytes
     # what the engine output: zeros from the first byte squeezed after the
@@ -146,5 +145,5 @@ def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
         outcome = "detected" if corrupted else "spurious-error"
     else:
         outcome = "silent-corruption" if corrupted else "benign"
-    return InjectionResult(outcome=outcome, error_raised=error, masked=eng.masked,
-                           digest=digest, golden=golden, emitted=emitted)
+    return InjectionResult(outcome=outcome, error_raised=error, digest=digest,
+                           golden=golden, emitted=emitted)

@@ -175,7 +175,9 @@ def test_exhaustive_reports_are_deterministic():
 
 
 def test_worker_count_does_not_change_results():
-    spec = CampaignSpec(scheme="c-plane", k=2, strategy="exhaustive-global")
+    # only Monte Carlo uses the pool; 140 000 trials make three chunks
+    spec = CampaignSpec(scheme="c-plane", k=2, strategy="random", trials=140_000,
+                        seed=4)
     a = record_without_timing(run_campaign(spec, workers=1))
     b = record_without_timing(run_campaign(spec, workers=3))
     assert a == b
@@ -190,6 +192,51 @@ def test_exhaustive_records_match_golden(workers):
         spec = CampaignSpec(scheme=want["scheme"], k=want["k"],
                             strategy=want["strategy"], sheet=want["sheet"] or 0)
         assert record_without_timing(run_campaign(spec, workers=workers)) == want
+
+
+GOLDEN_CAMPAIGNS = json.loads(
+    Path(__file__).with_name("golden_campaigns.json").read_text())
+
+
+def spec_of(record):
+    """The spec a golden record was run from, with the budget raised to
+    its pattern count."""
+    random_strategy = record["strategy"] == "random"
+    return CampaignSpec(scheme=record["scheme"], k=record["k"],
+                        strategy=record["strategy"],
+                        trials=record["total"] if random_strategy else None,
+                        seed=record["seed"], unroll=record["unroll"],
+                        sheet=record["sheet"] or 0, scope=tuple(record["scope"]),
+                        max_patterns=record["total"])
+
+
+# The records in golden_campaigns.json were taken from the implementation
+# that still swept in fixed chunks, returned Monte Carlo results in a type
+# of their own and counted the c-plane census by a per-column polynomial.
+
+def test_global_and_fullsim_records_match_golden():
+    # global k = 3 of both schemes, and engine-level trials over state and
+    # c_prime for k = 1, 2
+    for want in GOLDEN_CAMPAIGNS["global"] + GOLDEN_CAMPAIGNS["fullsim"]:
+        assert record_without_timing(run_campaign(spec_of(want), workers=1)) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_records_match_golden(workers):
+    # 70 000 trials span two chunks
+    for want in GOLDEN_CAMPAIGNS["monte_carlo"]:
+        got = monte_carlo_rate(want["k"], want["total"], seed=want["seed"],
+                               scheme=want["scheme"], workers=workers)
+        assert record_without_timing(got) == want
+
+
+def test_census_matches_golden():
+    for want in GOLDEN_CAMPAIGNS["census"]:
+        res = undetected_census(want["k"], want["scheme"])
+        got = {"scheme": res.scheme, "k": res.k, "count": res.count,
+               "fraction": res.fraction,
+               "witnesses": [[list(t) for t in w] for w in res.witnesses]}
+        assert got == want
 
 
 def _keys_equal(scheme, space, positions):

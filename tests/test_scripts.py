@@ -1,0 +1,27 @@
+"""Smoke test of the reproduction script, run the way a user runs it."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_results_quick(tmp_path, capsys):
+    out = tmp_path / "records.json"
+    assert _load("reproduce_results").main(["--quick", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "k=4: 2,143,807,600 patterns over 5 sheets, 100,800 undetected" in text
+    assert "z-sheet  k=1: 0  k=2: 0  k=3: 0  k=4: 100,800  k=5: 0  k=6: 12,499,200" in text
+    assert "k=8: rate 1.000000  CI95 [0.999962, 1.000000]  undetected 0" in text
+    records = json.loads(out.read_text())
+    # five sheets at k = 1..4, then c-plane global k = 1, 2
+    assert len(records) == 22
+    assert [r["undetected"] for r in records[-2:]] == [0, 3200]
