@@ -23,7 +23,8 @@ of binary searches in a sorted key table counts the escapes of every
 head of an exhaustive sweep at once.  Monte Carlo sorts each sampled row
 instead.  Campaigns whose scope includes shadow registers run each trial
 through the engine, since only the full run can tell a false alarm from
-real corruption.
+real corruption; the trials share one checkpointed fault-free run and
+each resumes at its commit window (see ``faults``).
 
 Each strategy returns its tallies and ``run_campaign`` builds the one
 report from them.  Exhaustive sweeps run in one pass in the calling
@@ -46,9 +47,9 @@ from math import comb, prod
 
 import numpy as np
 
-from .engine import UNROLL_FACTORS, hash_message
+from .engine import UNROLL_FACTORS
 from .faults import (REGISTER_WIDTHS, FaultPattern, FaultTarget, InjectionSchedule,
-                     inject_and_run)
+                     inject_and_run, reference_run)
 from .fd import SCHEMES, detectability_predicate
 from .keccak import NUM_ROUNDS
 
@@ -391,11 +392,17 @@ def _scope_space(scope) -> list:
 
 def _run_random_fullsim(spec: CampaignSpec):
     """Engine-level campaign; needed once shadow registers are in scope.
-    Trial counts here are small, so the runs stay in order in this process."""
+
+    One fault-free reference run of the fixed message, checker attached,
+    is shared by every trial: it gives the fault-free digest and the
+    registers at each commit window, and each trial resumes at its drawn
+    window instead of replaying the hash.  Trials run in order in this
+    process.
+    """
     space = _scope_space(spec.scope)
     rng = np.random.default_rng([spec.seed, len(space)])
     slots = NUM_ROUNDS // spec.unroll
-    golden = hash_message(_FULLSIM_MODE, _FULLSIM_MESSAGE)
+    reference = reference_run(_FULLSIM_MODE, _FULLSIM_MESSAGE, spec.scheme, spec.unroll)
     counts = {"detected": 0, "silent-corruption": 0, "benign": 0, "spurious-error": 0}
     witnesses = []
     for _ in range(spec.trials):
@@ -403,7 +410,7 @@ def _run_random_fullsim(spec: CampaignSpec):
         pattern = FaultPattern(tuple(FaultTarget(*space[i]) for i in sorted(picks)))
         schedule = InjectionSchedule(0, int(rng.integers(slots)))
         res = inject_and_run(_FULLSIM_MODE, _FULLSIM_MESSAGE, pattern, schedule,
-                             scheme=spec.scheme, unroll=spec.unroll, golden=golden)
+                             scheme=spec.scheme, unroll=spec.unroll, reference=reference)
         counts[res.outcome] += 1
         if res.outcome == "silent-corruption" and len(witnesses) < MAX_WITNESSES:
             witnesses.append(tuple((t.register, t.bit) for t in pattern.targets))
@@ -414,9 +421,9 @@ def _run_random_fullsim(spec: CampaignSpec):
 def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignReport:
     """Run one campaign to completion and report the tallies.
 
-    Shadow-register scopes run every trial through the engine against the
-    digest of a fixed reference message; state-only campaigns evaluate
-    the parity arithmetic directly.  Exhaustive rates are exact (the
+    Shadow-register scopes run every trial through the engine, resumed
+    from one fault-free run of a fixed reference message; state-only
+    campaigns evaluate the parity arithmetic directly.  Exhaustive rates are exact (the
     interval is the rate itself); sampled rates carry a Wilson interval.
     """
     w = _worker_count(workers)

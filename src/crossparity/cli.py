@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,27 +200,36 @@ def cmd_campaign(args) -> int:
             seed=args.seed, unroll=args.unroll, sheet=args.sheet,
             scope=tuple(args.scope.split(",")),
             max_patterns=args.max_patterns)
-        report = run_campaign(spec)
-    except BudgetExceededError as exc:
-        print(exc, file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    rec = report.to_record()
-    print(f"{report.strategy} campaign, scheme={report.scheme} k={report.k} "
-          f"unroll={report.unroll} seed={report.seed}")
-    print(f"patterns: {report.total}  detected: {report.detected}  "
-          f"undetected: {report.undetected}  spurious: {report.spurious}")
-    print(f"detection rate: {report.rate:.7f}  "
-          f"CI95: [{report.ci_low:.7f}, {report.ci_high:.7f}]")
-    if report.witnesses:
-        w = ", ".join(f"{reg}[{bit}]" for reg, bit in report.witnesses[0])
-        print(f"first undetected witness: {w}")
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump([rec], fh, indent=2)
-        print(f"report written to {args.report}")
+    # open the report first, so a bad path fails before the campaign runs
+    try:
+        out = open(args.report, "w") if args.report else nullcontext()
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        try:
+            report = run_campaign(spec)
+        except BudgetExceededError as exc:
+            print(exc, file=sys.stderr)
+            return 4
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        print(f"{report.strategy} campaign, scheme={report.scheme} k={report.k} "
+              f"unroll={report.unroll} seed={report.seed}")
+        print(f"patterns: {report.total}  detected: {report.detected}  "
+              f"undetected: {report.undetected}  spurious: {report.spurious}")
+        print(f"detection rate: {report.rate:.7f}  "
+              f"CI95: [{report.ci_low:.7f}, {report.ci_high:.7f}]")
+        if report.witnesses:
+            w = ", ".join(f"{reg}[{bit}]" for reg, bit in report.witnesses[0])
+            print(f"first undetected witness: {w}")
+        if fh is not None:
+            json.dump([report.to_record()], fh, indent=2)
+            print(f"report written to {args.report}")
     return 0
 
 
@@ -234,9 +244,13 @@ def cmd_throughput(args) -> int:
     for name, f in DESIGN_FREQ_MHZ.items():
         if abs(freq - f) < 0.005:
             ref_scheme = name
+    try:
+        rates = {mode: throughput_model(mode, freq, unroll=args.unroll) for mode in modes}
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(f"frequency: {freq} MHz")
-    for mode in modes:
-        mbps = throughput_model(mode, freq, unroll=args.unroll)
+    for mode, mbps in rates.items():
         line = f"{mode:9s} {mbps:10.2f} Mbit/s"
         if ref_scheme is not None:
             ref = REFERENCE_THROUGHPUT_MBPS[ref_scheme][mode]

@@ -26,12 +26,16 @@ group's first round the column sums (and, under z-sheet, the lane sums)
 of the state read back from the register are checked against the last
 prime, so each commit window is covered.  The sums are computed only at
 these check rounds.  During absorb/squeeze shifting the shadows go stale
-and are invalidated.
+and are invalidated.  A permutation can also be entered at a later commit
+window, from the state a fault-free run committed there; the fault
+campaigns resume their trials that way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fd import FdRegisters
 from .keccak import NUM_ROUNDS, StateArray, column_sums, lane_sums, round_step
@@ -50,7 +54,7 @@ class ModeConfig:
     digest_bits: int | None     # None for the extendable-output modes
     domain: str                 # "sha3" or "shake"
 
-    @property
+    @cached_property            # read on every shift cycle
     def rate_bytes(self) -> int:
         return self.rate_bits // 8
 
@@ -162,24 +166,42 @@ class Engine:
     # absorb path
 
     def absorb_byte(self, b: int) -> None:
+        """Shift one message or pad byte in: one cycle."""
         if self.phase not in ("absorbing", "padding"):
             raise RuntimeError(f"cannot absorb in phase {self.phase!r}")
-        if self.ratecount >= SHIFT_RATE_BYTES:
-            raise RuntimeError("shift register already full; permute first")
+        if self.ratecount >= self.mode.rate_bytes:
+            raise RuntimeError("mode block full; zero-fill and permute first")
         if not 0 <= b <= 0xFF:
             raise ValueError("absorb one byte at a time")
         self._shift(b)
         self.ratecount += 1
         self.cycles += 1
 
+    def _fill_turn(self) -> None:
+        """Shift zero bytes in until the register has made a full turn."""
+        while self.ratecount < SHIFT_RATE_BYTES:
+            self._shift(0)
+            self.ratecount += 1
+            self.cycles += 1
+
     def absorb_zero_fill(self) -> None:
         """Complete the current turn with zero bytes after a mode block."""
+        if self.phase not in ("absorbing", "padding"):
+            raise RuntimeError(f"cannot absorb in phase {self.phase!r}")
         if self.ratecount != self.mode.rate_bytes:
             raise RuntimeError("zero fill only after a completed mode block")
-        while self.ratecount < SHIFT_RATE_BYTES:
-            self.absorb_byte(0)
+        self._fill_turn()
+
+    def _end_block(self) -> None:
+        """Zero-fill and permute a mode block that ``absorb_byte`` filled."""
+        if self.ratecount == self.mode.rate_bytes:
+            self.absorb_zero_fill()
+            self.run_permutation()
 
     def absorb(self, data: bytes) -> None:
+        if self.phase != "absorbing":
+            raise RuntimeError(f"cannot absorb in phase {self.phase!r}")
+        self._end_block()
         for b in data:
             self.absorb_byte(b)
             if self.ratecount == self.mode.rate_bytes:
@@ -190,6 +212,7 @@ class Engine:
         """Absorb the pad block and transition to squeezing."""
         if self.phase != "absorbing":
             raise RuntimeError(f"cannot finish in phase {self.phase!r}")
+        self._end_block()
         self.phase = "padding"
         for b in pad(self.mode.rate_bits, 8 * self.ratecount, self.mode.domain):
             self.absorb_byte(b)
@@ -216,25 +239,38 @@ class Engine:
             sa = sa.with_flips(state_bits)
         return sa
 
-    def run_permutation(self) -> None:
+    def run_permutation(self, start_slot: int = 0, state: StateArray | None = None) -> None:
         """Run the 24 rounds, committing every ``unroll`` rounds.
 
         Detection schedule: prime at entry, check at each group's first
         round against the last prime, re-prime at each commit.  The
         shadows are invalidated on exit because the shift phases that
         follow change the state without theta taps to compare against.
+
+        With ``state``, the permutation resumes at commit window
+        ``start_slot`` from the state a fault-free run committed there,
+        and the detection unit is primed from it as that commit primed
+        it; the shift register's contents are not read.  ``cycles``,
+        ``permutation_index``, ``phase`` and ``squeezed`` must already
+        hold their values at that window.
         """
         if self.ratecount != SHIFT_RATE_BYTES:
             raise RuntimeError("permutation requires a completed 168-byte turn")
+        groups = NUM_ROUNDS // self.unroll
+        if state is None:
+            if start_slot:
+                raise ValueError("resuming at a later commit slot needs its state")
+            state = StateArray.from_bytes(bytes(self._state))
+        elif not 0 <= start_slot < groups:
+            raise ValueError(f"commit slot {start_slot} out of range ({groups} slots)")
         outer_phase = self.phase
         self.phase = "permuting"
-        sa = StateArray.from_bytes(bytes(self._state))
+        sa = state
         fd = self.fd
         if fd is not None:
             fd.prime(sa)
             lanes = fd.scheme == "z-sheet"
-        groups = NUM_ROUNDS // self.unroll
-        for slot in range(groups):
+        for slot in range(start_slot, groups):
             if self.injector is not None:
                 sa = self._apply_injection(sa, slot)
             if fd is not None:
@@ -266,13 +302,6 @@ class Engine:
         self.squeezed.append(b)
         return 0x00 if self.masked else b
 
-    def _refresh(self) -> None:
-        while self.ratecount < SHIFT_RATE_BYTES:
-            self._shift(0)
-            self.ratecount += 1
-            self.cycles += 1
-        self.run_permutation()
-
     def squeeze(self, n: int) -> bytes:
         """Emit ``n`` digest bytes, each zero if the output is masked."""
         if self.phase != "squeezing":
@@ -280,7 +309,8 @@ class Engine:
         out = bytearray()
         for _ in range(n):
             if self.ratecount == self.mode.rate_bytes:
-                self._refresh()
+                self._fill_turn()
+                self.run_permutation()
             out.append(self.squeeze_byte())
         return bytes(out)
 
@@ -337,8 +367,8 @@ def throughput_model(mode: str, freq_mhz: float, unroll: int = 1) -> float:
     rate_bits / (168 + 24/unroll) bits per cycle.
     """
     cfg = mode_params(mode)
-    if freq_mhz <= 0:
-        raise ValueError("frequency must be positive")
+    if not 0 < freq_mhz < math.inf:
+        raise ValueError(f"frequency must be a positive finite number of MHz, got {freq_mhz}")
     if unroll not in UNROLL_FACTORS:
         raise ValueError(f"unroll must be one of {UNROLL_FACTORS}")
     cycles_per_block = SHIFT_RATE_BYTES + NUM_ROUNDS // unroll

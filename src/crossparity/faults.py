@@ -13,15 +13,27 @@ Outcomes of an injected run, judged against the fault-free digest:
 * ``spurious-error``    error flag up, digest would have been right
 * ``silent-corruption`` no error, wrong digest
 * ``benign``            no error, digest unaffected
+
+A faulted run is the fault-free run up to its window and its own run
+after it, so it starts from a ``ReferenceRun``: one fault-free run with
+the detection unit attached that keeps the engine's registers at its
+commit windows and ends with the error flag down.  A trial restores the
+registers of its window, primes the checker from the state committed
+there, injects, and runs every remaining check, round, permutation and
+squeeze through the engine, so a resumed trial is checked exactly as a
+run from the start would be.  A campaign shares one reference run among
+all its trials and its digest is the fault-free one; a lone
+``inject_and_run`` makes its own, which stops at the window when the
+fault-free digest is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Engine, hash_message
+from .engine import SHIFT_RATE_BYTES, Engine
 from .fd import SHADOW_WIDTHS
-from .keccak import NUM_ROUNDS
+from .keccak import NUM_ROUNDS, StateArray
 
 REGISTER_WIDTHS = {"state": 1600, **SHADOW_WIDTHS}
 
@@ -109,35 +121,120 @@ class InjectionResult:
     emitted: bytes = field(repr=False, default=b"")
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """The engine's registers at one commit window of a fault-free run."""
+
+    state: StateArray       # committed at the window (the entry state at slot 0)
+    cycles: int
+    squeezed: bytes         # digest bytes shifted out before the window
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    """A fault-free run with the detection unit attached, and the
+    checkpoints of its commit windows, keyed (permutation index, slot)."""
+
+    mode: str
+    message: bytes
+    scheme: str
+    unroll: int
+    out_len: int
+    digest: bytes | None    # None when the run stopped at its last wanted window
+    checkpoints: dict = field(repr=False)
+
+
+class _WindowReached(Exception):
+    """Ends a reference run at the one window it keeps."""
+
+
+class _CheckpointingEngine(Engine):
+    """A run that injects nothing and keeps its registers at every commit
+    window, or only at ``window``; with ``stop`` it ends there."""
+
+    def __init__(self, mode, scheme, unroll, window, stop):
+        super().__init__(mode, fd=scheme, unroll=unroll)
+        self.injector = lambda perm, slot: None      # visit every window
+        self.window = window
+        self.stop = stop
+        self.checkpoints = {}
+
+    def _apply_injection(self, sa, slot):
+        key = (self.permutation_index, slot)
+        if self.window in (None, key):
+            self.checkpoints[key] = Checkpoint(sa, self.cycles, bytes(self.squeezed))
+            if self.stop:
+                raise _WindowReached
+        return sa
+
+
+def _reference(mode, message, scheme, unroll, out_len, window=None,
+               stop=False) -> ReferenceRun:
+    eng = _CheckpointingEngine(mode, scheme, unroll, window, stop)
+    n = eng.resolve_out_len(out_len)
+    digest = None
+    try:
+        eng.absorb(message)
+        eng.finish()
+        digest = eng.squeeze(n)
+    except _WindowReached:
+        pass
+    if eng.fd.error:
+        raise RuntimeError("the fault-free reference run raised the error flag")
+    return ReferenceRun(eng.mode.name, bytes(message), scheme, unroll, n, digest,
+                        eng.checkpoints)
+
+
+def reference_run(mode: str, message: bytes, scheme: str = "z-sheet", unroll: int = 1,
+                  out_len: int | None = None) -> ReferenceRun:
+    """The fault-free run of one hash, checkpointed at every commit window,
+    for many ``inject_and_run`` trials to share."""
+    return _reference(mode, message, scheme, unroll, out_len)
+
+
 def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
                    schedule: InjectionSchedule, scheme: str = "z-sheet",
                    unroll: int = 1, out_len: int | None = None,
-                   golden: bytes | None = None) -> InjectionResult:
-    """Run one hash with the pattern injected at the scheduled window."""
+                   golden: bytes | None = None,
+                   reference: ReferenceRun | None = None) -> InjectionResult:
+    """Run one hash with the pattern injected at the scheduled window.
+
+    The run resumes at the window from ``reference``, a ``reference_run``
+    of the same hash, or else from a reference run made for this call.
+    ``golden`` defaults to the reference run's digest.
+    """
     schedule.validate_for_unroll(unroll)
     eng = Engine(mode, fd=scheme, unroll=unroll)
     n = eng.resolve_out_len(out_len)
+    window = (schedule.permutation_index, schedule.commit_slot)
+    if reference is None:
+        reference = _reference(mode, message, scheme, unroll, n, window,
+                               stop=golden is not None)
+    elif (reference.mode, reference.message, reference.scheme, reference.unroll,
+          reference.out_len) != (eng.mode.name, message, scheme, unroll, n):
+        raise ValueError("the reference run is of a different hash")
     if golden is None:
-        golden = hash_message(mode, message, out_len=out_len)
+        golden = reference.digest
+    cp = reference.checkpoints.get(window)
+    if cp is None:
+        raise ValueError(f"schedule never fired: the run has no permutation "
+                         f"{schedule.permutation_index}")
 
-    fired = 0
-
-    def injector(perm_index, slot):
-        nonlocal fired
-        if perm_index == schedule.permutation_index and slot == schedule.commit_slot:
-            fired += 1
-            return pattern.targets
-        return None
-
-    eng.injector = injector
-    eng.absorb(message)
-    eng.finish()
-    emitted = eng.squeeze(n)
+    # load the registers of the window; the permutations absorb runs come
+    # first, and the engine squeezes after the pad block's
+    perm = schedule.permutation_index
+    eng.phase = "absorbing" if perm < len(message) // eng.mode.rate_bytes else "squeezing"
+    eng.cycles = cp.cycles
+    eng.permutation_index = perm
+    eng.ratecount = SHIFT_RATE_BYTES
+    eng.squeezed[:] = cp.squeezed
+    eng.injector = lambda p, slot: pattern.targets if (p, slot) == window else None
+    eng.run_permutation(schedule.commit_slot, cp.state)
+    if eng.phase == "absorbing":
+        eng.absorb(message[(perm + 1) * eng.mode.rate_bytes:])
+        eng.finish()
+    emitted = cp.squeezed + eng.squeeze(n - len(cp.squeezed))
     digest = bytes(eng.squeezed)
-    if fired == 0:
-        raise ValueError(
-            f"schedule never fired: run had {eng.permutation_index} permutations, "
-            f"schedule wanted index {schedule.permutation_index}")
 
     error = eng.fd.error
     corrupted = digest != golden

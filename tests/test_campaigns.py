@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from crossparity import campaigns
 from crossparity.campaigns import (
     DEFAULT_PATTERN_BUDGET,
     MAX_WITNESSES,
@@ -346,11 +347,28 @@ def test_random_state_campaign_k2_c_plane_finds_misses():
         assert detectability_predicate(bits, "c-plane") is False
 
 
-def test_random_campaign_reproducible():
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Counts the process pools the campaigns start."""
+    starts = []
+    real = campaigns.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", counting)
+    return starts
+
+
+def test_random_campaign_reproducible(pool_starts):
+    # 70 000 trials are two chunks, so the second run goes through the pool
     spec = CampaignSpec(scheme="c-plane", k=2, strategy="random",
-                        trials=30000, seed=11)
-    a = record_without_timing(run_campaign(spec))
+                        trials=70_000, seed=11)
+    a = record_without_timing(run_campaign(spec, workers=1))
+    assert pool_starts == []
     b = record_without_timing(run_campaign(spec, workers=2))
+    assert pool_starts == [2]
     assert a == b
 
 
@@ -483,9 +501,10 @@ def test_monte_carlo_trial_floor():
         monte_carlo_rate(4, 9_999, 0)
 
 
-def test_monte_carlo_reproducible():
-    a = monte_carlo_rate(4, 20_000, seed=7)
-    b = monte_carlo_rate(4, 20_000, seed=7, workers=2)
+def test_monte_carlo_reproducible(pool_starts):
+    a = monte_carlo_rate(4, 70_000, seed=7, workers=1)
+    b = monte_carlo_rate(4, 70_000, seed=7, workers=2)
+    assert pool_starts == [2]
     assert (a.total, a.detected, a.undetected, a.witnesses) == \
         (b.total, b.detected, b.undetected, b.witnesses)
 

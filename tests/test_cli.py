@@ -281,6 +281,21 @@ def test_campaign_cli_exhaustive(tmp_path, capsys):
     assert rec[0]["strategy"] == "exhaustive-global"
 
 
+def test_campaign_cli_bad_report_path_fails_before_the_campaign(tmp_path, capsys,
+                                                                  monkeypatch):
+    import crossparity.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_campaign", lambda spec: ran.append(spec))
+    bad = tmp_path / "no-such-dir" / "r.json"
+    rc = main(["campaign", "--k", "1", "--strategy", "exhaustive-global",
+               "--report", str(bad)])
+    assert rc == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(bad) in err
+
+
 def test_campaign_cli_witness_line(capsys):
     rc = main(["campaign", "--k", "2", "--strategy", "exhaustive-sheet",
                "--fd", "c-plane", "--sheet", "2"])
@@ -376,6 +391,14 @@ def test_throughput_unroll_column(capsys):
     assert main(["throughput", "--mode", "shake128", "--freq", "169.0",
                  "--unroll", "24"]) == 0
     assert "1344.00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("freq", ["0", "-5", "nan", "inf"])
+def test_throughput_bad_frequency_is_a_usage_error(freq, capsys):
+    assert main(["throughput", "--mode", "sha3-256", f"--freq={freq}"]) == 2
+    captured = capsys.readouterr()
+    assert "Mbit/s" not in captured.out
+    assert "frequency must be a positive finite number" in captured.err
 
 
 # ----------------------------------------------------------------------

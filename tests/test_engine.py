@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracle_fips202 as oracle
 from crossparity.engine import (
@@ -26,7 +27,7 @@ from crossparity.engine import (
     select_pad_byte,
     throughput_model,
 )
-from crossparity.fd import FdRegisters
+from crossparity.fd import SCHEMES, FdRegisters
 from crossparity.keccak import StateArray, column_sums, lane_sums, round_step
 
 MODE_NAMES = tuple(MODES)
@@ -419,6 +420,12 @@ def test_throughput_rejects_unknowns():
         throughput_model("sha3-256", 100.0, unroll=5)
 
 
+@pytest.mark.parametrize("freq", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_throughput_rejects_bad_frequencies(freq):
+    with pytest.raises(ValueError, match="positive finite"):
+        throughput_model("sha3-256", freq)
+
+
 def test_throughput_matches_reference_designs():
     # Each protection level has a synthesised clock; the modeled numbers
     # must stay within 1% of the recorded design throughputs.
@@ -427,3 +434,117 @@ def test_throughput_matches_reference_designs():
         for mode, ref in REFERENCE_THROUGHPUT_MBPS[scheme].items():
             got = throughput_model(mode, freq)
             assert abs(got - ref) / ref < 0.01, (scheme, mode, got, ref)
+
+
+# ----------------------------------------------------------------------
+# the engine API in any order
+
+class EngineCalls(RuleBasedStateMachine):
+    """absorb/absorb_byte/finish/squeeze/squeeze_byte/reset in any order,
+    with and without a checker.  A model of the message and output so far
+    gives the digest bytes (hashlib), which calls must fail with
+    RuntimeError, and the cycle count of the shift schedule: 168 cycles
+    per register turn and 24/unroll per permutation."""
+
+    @initialize(mode=st.sampled_from(MODE_NAMES), fd=st.sampled_from([None, *SCHEMES]),
+                unroll=st.sampled_from(UNROLL_FACTORS))
+    def start(self, mode, fd, unroll):
+        self.eng = Engine(mode, fd=fd, unroll=unroll)
+        self.rate = MODES[mode].rate_bytes
+        self.perm_cycles = SHIFT_RATE_BYTES - self.rate + 24 // unroll
+        self.clear()
+
+    def clear(self):
+        self.msg = bytearray()
+        self.out = bytearray()
+        self.squeezing = False
+        self.pending = False    # a block absorb_byte filled, not yet permuted
+
+    def expected(self, n):
+        mode = self.eng.mode
+        if mode.domain == "shake":
+            return HASHLIB_XOF[mode.name](bytes(self.msg)).digest(len(self.out) + n)
+        return HASHLIB_FIXED[mode.name](bytes(self.msg)).digest()
+
+    def refused(self, call, *args):
+        with pytest.raises(RuntimeError):
+            call(*args)
+
+    @rule(data=st.binary(max_size=400))
+    def absorb(self, data):
+        if self.squeezing:
+            return self.refused(self.eng.absorb, data)
+        self.eng.absorb(data)
+        self.msg += data
+        self.pending = False
+
+    @rule(b=st.integers(0, 255), to_block_end=st.booleans())
+    def absorb_byte(self, b, to_block_end):
+        """One byte, or the same byte until the mode block is full."""
+        if self.squeezing or self.pending:
+            return self.refused(self.eng.absorb_byte, b)
+        count = self.rate - len(self.msg) % self.rate if to_block_end else 1
+        for _ in range(count):
+            self.eng.absorb_byte(b)
+        self.msg += bytes([b]) * count
+        self.pending = len(self.msg) % self.rate == 0
+
+    @rule()
+    def finish(self):
+        if self.squeezing:
+            return self.refused(self.eng.finish)
+        self.eng.finish()
+        self.squeezing = True
+        self.pending = False
+
+    @rule(n=st.integers(0, 300))
+    def squeeze(self, n):
+        if not self.squeezing:
+            return self.refused(self.eng.squeeze, n)
+        digest = self.eng.mode.digest_bytes
+        if digest is not None:
+            n = min(n, digest - len(self.out))   # hashlib stops at the digest
+        want = self.expected(n)[len(self.out):len(self.out) + n]
+        assert self.eng.squeeze(n) == want
+        self.out += want
+
+    @rule()
+    def squeeze_byte(self):
+        if not self.squeezing or (self.out and len(self.out) % self.rate == 0):
+            return self.refused(self.eng.squeeze_byte)
+        if len(self.out) == self.eng.mode.digest_bytes:
+            return
+        want = self.expected(1)[len(self.out)]
+        assert self.eng.squeeze_byte() == want
+        self.out.append(want)
+
+    @rule()
+    def reset(self):
+        self.eng.reset()
+        self.clear()
+
+    @invariant()
+    def registers_follow_the_schedule(self):
+        if not hasattr(self, "eng"):
+            return
+        eng = self.eng
+        blocks = len(self.msg) // self.rate - self.pending
+        if self.squeezing:
+            blocks += 1                                  # the pad block
+            refreshes = max(0, len(self.out) - 1) // self.rate
+            cycles = blocks * (SHIFT_RATE_BYTES + 24 // eng.unroll) + len(self.out) \
+                + refreshes * self.perm_cycles
+            assert eng.phase == "squeezing"
+        else:
+            refreshes = 0
+            cycles = len(self.msg) + blocks * self.perm_cycles
+            assert eng.phase == "absorbing"
+        assert eng.cycles == cycles
+        assert eng.permutation_index == blocks + refreshes
+        assert not eng.masked
+        assert bytes(eng.squeezed) == bytes(self.out)
+
+
+EngineCalls.TestCase.settings = settings(max_examples=100, stateful_step_count=20,
+                                         derandomize=True, deadline=None)
+test_engine_calls_in_any_order = EngineCalls.TestCase

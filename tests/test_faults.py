@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from crossparity.fd import SHADOW_WIDTHS
+from crossparity.engine import Engine
+from crossparity.fd import SHADOW_WIDTHS, FdRegisters
 from crossparity.faults import (
     OUTCOMES,
     REGISTER_WIDTHS,
@@ -17,6 +18,7 @@ from crossparity.faults import (
     FaultTarget,
     InjectionSchedule,
     inject_and_run,
+    reference_run,
 )
 from crossparity.keccak import StateArray
 
@@ -256,3 +258,101 @@ def test_shadow_faults_across_multi_block_xof_runs(mode, scheme):
             assert res.digest == golden
             open_bytes = max(0, perm - absorbs + 1) * rate
             assert res.emitted == golden[:open_bytes] + bytes(out_len - open_bytes)
+
+
+# ----------------------------------------------------------------------
+# trials resumed from a shared reference run
+
+def _replay(mode, msg, pattern, schedule, scheme, unroll, n):
+    """A faulted run from the start: (error flag, ungated digest, emitted)."""
+    eng = Engine(mode, fd=scheme, unroll=unroll)
+    window = (schedule.permutation_index, schedule.commit_slot)
+    eng.injector = lambda perm, slot: pattern.targets if (perm, slot) == window else None
+    eng.absorb(msg)
+    eng.finish()
+    emitted = eng.squeeze(n)
+    return eng.fd.error, bytes(eng.squeezed), emitted
+
+
+def _trial_patterns(rng, scheme):
+    """k = 1, 2, 4 over the full scope, a weight-4 rectangle (which both
+    schemes miss) and a shadow-only pair (a false alarm)."""
+    shadows = ("c_prime",) if scheme == "c-plane" else ("c_prime", "f_prime", "cf_prime")
+    space = [FaultTarget("state", b) for b in range(1600)] + [
+        FaultTarget(reg, b) for reg in shadows for b in range(REGISTER_WIDTHS[reg])]
+    x, (y1, y2), (z1, z2) = rng.randrange(5), rng.sample(range(5), 2), rng.sample(range(64), 2)
+    rect = state_pattern(*(idx(x, y, z) for y in (y1, y2) for z in (z1, z2)))
+    shadow = FaultPattern(tuple(rng.sample([t for t in space if t.register != "state"], 2)))
+    return [FaultPattern(tuple(rng.sample(space, k))) for k in (1, 2, 4)] + [rect, shadow]
+
+
+@pytest.mark.parametrize("scheme", ["c-plane", "z-sheet"])
+@pytest.mark.parametrize("unroll", [1, 4, 24])
+def test_shared_reference_matches_fresh_runs_trial_for_trial(scheme, unroll):
+    # Windows in absorb permutations, the finish permutation and SHAKE
+    # refresh permutations, at the first, middle and last slot.
+    rng = random.Random(f"resume/{scheme}/{unroll}")
+    slots = 24 // unroll
+    patterns = _trial_patterns(rng, scheme)
+    trial = 0
+    outcomes = set()
+    # (mode, message, out_len, permutations): sha3-256 absorbs two blocks
+    # and finishes; shake128 absorbs one, finishes and refreshes twice
+    sha3_msg, shake_msg = rng.randbytes(300), rng.randbytes(250)
+    for mode, msg, out_len, perms, want in (
+            ("sha3-256", sha3_msg, None, 3, hashlib.sha3_256(sha3_msg).digest()),
+            ("shake128", shake_msg, 2 * 168 + 5, 4,
+             hashlib.shake_128(shake_msg).digest(2 * 168 + 5))):
+        ref = reference_run(mode, msg, scheme=scheme, unroll=unroll, out_len=out_len)
+        n = ref.out_len
+        assert ref.digest == want
+        # every window is kept, at the cycle count of the shift schedule
+        assert {(p, s): cp.cycles for (p, s), cp in ref.checkpoints.items()} == \
+            {(p, s): 168 * (p + 1) + slots * p + s for p in range(perms) for s in range(slots)}
+        for perm in range(perms):
+            for slot in sorted({0, slots // 2, slots - 1}):
+                pattern = patterns[trial % len(patterns)]
+                trial += 1
+                schedule = InjectionSchedule(perm, slot)
+                shared = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                        unroll=unroll, out_len=out_len, reference=ref)
+                fresh = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                       unroll=unroll, out_len=out_len)
+                stopped = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                         unroll=unroll, out_len=out_len, golden=ref.digest)
+                for res in (fresh, stopped):
+                    assert (res.outcome, res.error_raised, res.digest, res.emitted) == \
+                        (shared.outcome, shared.error_raised, shared.digest, shared.emitted)
+                assert (shared.error_raised, shared.digest, shared.emitted) == \
+                    _replay(mode, msg, pattern, schedule, scheme, unroll, n)
+                outcomes.add(shared.outcome)
+    assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
+
+
+def test_reference_run_must_end_with_the_flag_down(monkeypatch):
+    real_prime = FdRegisters.prime
+
+    def bad_prime(self, committed):
+        real_prime(self, committed)
+        self.c_prime ^= 1
+
+    monkeypatch.setattr(FdRegisters, "prime", bad_prime)
+    with pytest.raises(RuntimeError, match="reference run raised the error flag"):
+        reference_run("sha3-256", MSG)
+    with pytest.raises(RuntimeError, match="reference run raised the error flag"):
+        inject_and_run("sha3-256", MSG, state_pattern(1), InjectionSchedule(0, 3))
+
+
+def test_shared_reference_must_be_of_the_same_hash():
+    ref = reference_run("sha3-256", MSG, scheme="z-sheet", unroll=4)
+    pattern, schedule = state_pattern(1), InjectionSchedule(0, 2)
+    for kwargs in (dict(message=MSG + b"!"), dict(scheme="c-plane"), dict(unroll=2),
+                   dict(mode="sha3-224")):
+        args = dict(mode="sha3-256", message=MSG, scheme="z-sheet", unroll=4) | kwargs
+        with pytest.raises(ValueError, match="different hash"):
+            inject_and_run(pattern=pattern, schedule=schedule, reference=ref, **args)
+    with pytest.raises(ValueError, match="never fired"):
+        inject_and_run("sha3-256", MSG, pattern, InjectionSchedule(1, 0), unroll=4,
+                       reference=ref)
+    res = inject_and_run("SHA3-256", MSG, pattern, schedule, unroll=4, reference=ref)
+    assert res.golden == ref.digest == hashlib.sha3_256(MSG).digest()

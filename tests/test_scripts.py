@@ -21,7 +21,14 @@ def test_reproduce_results_quick(tmp_path, capsys):
     assert "k=4: 2,143,807,600 patterns over 5 sheets, 100,800 undetected" in text
     assert "z-sheet  k=1: 0  k=2: 0  k=3: 0  k=4: 100,800  k=5: 0  k=6: 12,499,200" in text
     assert "k=8: rate 1.000000  CI95 [0.999962, 1.000000]  undetected 0" in text
+    assert "silent corruption 0" in text
     records = json.loads(out.read_text())
-    # five sheets at k = 1..4, then c-plane global k = 1, 2
-    assert len(records) == 22
-    assert [r["undetected"] for r in records[-2:]] == [0, 3200]
+    # five sheets at k = 1..4, c-plane global k = 1, 2, then the engine-level
+    # z-sheet campaign at k = 1, 2
+    assert len(records) == 24
+    assert [r["undetected"] for r in records[20:22]] == [0, 3200]
+    for k, rec in zip((1, 2), records[22:]):
+        assert (rec["k"], rec["scope"]) == (k, ["state", "c_prime", "f_prime", "cf_prime"])
+        assert rec["undetected"] == 0
+        assert rec["detected"] + rec["spurious"] == rec["total"] == 200
+        assert rec["spurious"] > 0
