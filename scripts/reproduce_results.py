@@ -19,12 +19,7 @@ import sys
 import time
 from math import comb
 
-from crossparity.campaigns import (
-    CampaignSpec,
-    monte_carlo_rate,
-    run_campaign,
-    undetected_census,
-)
+from crossparity.campaigns import CampaignSpec, run_campaign, undetected_census
 from crossparity.engine import (
     DESIGN_FREQ_MHZ,
     MODES,
@@ -90,7 +85,9 @@ def main(argv=None):
 
     banner(f"Monte Carlo detection rates, {trials:,} trials per weight (z-sheet)")
     for k in range(4, 9):
-        mc = monte_carlo_rate(k, trials, seed=1000 + k, scheme="z-sheet")
+        mc = run_campaign(CampaignSpec(scheme="z-sheet", k=k, strategy="random",
+                                       trials=trials, seed=1000 + k))
+        records.append(mc.to_record())
         print(f"  k={k}: rate {mc.rate:.6f}  CI95 [{mc.ci_low:.6f}, {mc.ci_high:.6f}]"
               f"  undetected {mc.undetected}")
 

@@ -6,7 +6,6 @@ from .faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
 from .campaigns import (
     CampaignSpec,
     CampaignReport,
-    monte_carlo_rate,
     run_campaign,
     undetected_census,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "inject_and_run",
     "CampaignSpec",
     "CampaignReport",
-    "monte_carlo_rate",
     "run_campaign",
     "undetected_census",
 ]

@@ -7,8 +7,7 @@ Three strategies:
   distinct sheets, so per-sheet enumeration plus composition covers the
   global picture at a fraction of the cost.
 * ``exhaustive-global``: every weight-k flip set over all 1600 state
-  bits.  Supported for k <= 3; the triple space (681 million patterns)
-  sits above the default pattern budget and needs it raised explicitly.
+  bits.  Supported for k <= 3 (the triple space is 681 million patterns).
 * ``random``: seeded uniform samples of weight-k flip sets, with a
   Wilson 95% interval on the detection rate.
 
@@ -54,7 +53,6 @@ from .fd import SCHEMES, detectability_predicate
 from .keccak import NUM_ROUNDS
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
-DEFAULT_PATTERN_BUDGET = 500_000_000
 MAX_WITNESSES = 16
 
 STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
@@ -62,20 +60,10 @@ STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 # Monte Carlo trials per chunk; fixed so that the sampled patterns never
 # depend on the worker count
 _CHUNK_MC = 1 << 16
+_MAX_MC_K = 64
 
 _FULLSIM_MODE = "sha3-256"
 _FULLSIM_MESSAGE = b"engine-level fault campaign"
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a campaign would evaluate more patterns than allowed."""
-
-    def __init__(self, needed: int, budget: int):
-        super().__init__(
-            f"campaign needs {needed} patterns, budget is {budget}; "
-            "raise max_patterns to run it anyway")
-        self.needed = needed
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,6 @@ class CampaignSpec:
     unroll: int = 1
     sheet: int = 0
     scope: tuple[str, ...] = ("state",)
-    max_patterns: int = DEFAULT_PATTERN_BUDGET
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -106,12 +93,14 @@ class CampaignSpec:
             raise ValueError("trials only apply to the random strategy")
         if not 0 <= self.sheet < 5:
             raise ValueError("sheet index must be 0..4")
-        for reg in self.scope:
+        for i, reg in enumerate(self.scope):
             if reg not in REGISTER_WIDTHS:
                 raise ValueError(f"unknown register {reg!r} in scope")
+            if reg in self.scope[:i]:
+                raise ValueError(f"scope names register {reg!r} twice")
         if not self.scope:
             raise ValueError("scope must name at least one register")
-        width = sum(REGISTER_WIDTHS[reg] for reg in set(self.scope))
+        width = sum(REGISTER_WIDTHS[reg] for reg in self.scope)
         if self.k > width:
             raise ValueError(f"k = {self.k} exceeds the {width} bits in scope")
         if self.scheme == "c-plane" and set(self.scope) & {"f_prime", "cf_prime"}:
@@ -362,8 +351,6 @@ def _run_exhaustive(spec: CampaignSpec):
     if not per_sheet and spec.k > 3:
         raise ValueError("global enumeration supports k <= 3")
     total = comb(space, spec.k)
-    if total > spec.max_patterns:
-        raise BudgetExceededError(total, spec.max_patterns)
     evaluated, undetected, patterns = _sweep(spec.scheme, space, spec.k)
     if evaluated != total:
         raise AssertionError(f"enumeration covered {evaluated} of {total} patterns")
@@ -373,6 +360,10 @@ def _run_exhaustive(spec: CampaignSpec):
 
 
 def _run_random_state(spec: CampaignSpec, workers: int):
+    # _sample_distinct redraws a whole row on any repeat, so past this
+    # weight a chunk takes seconds and soon never finishes
+    if spec.k > _MAX_MC_K:
+        raise ValueError(f"Monte Carlo over the state supports k <= {_MAX_MC_K}")
     tasks = [(spec.scheme, spec.k, spec.seed, idx, min(_CHUNK_MC, spec.trials - lo))
              for idx, lo in enumerate(range(0, spec.trials, _CHUNK_MC))]
     if workers <= 1 or len(tasks) <= 1:
@@ -431,13 +422,10 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
     exhaustive = spec.strategy != "random"
     if exhaustive:
         tallies = _run_exhaustive(spec)
+    elif spec.scope == ("state",):
+        tallies = _run_random_state(spec, w)
     else:
-        if spec.trials > spec.max_patterns:
-            raise BudgetExceededError(spec.trials, spec.max_patterns)
-        if spec.scope == ("state",):
-            tallies = _run_random_state(spec, w)
-        else:
-            tallies = _run_random_fullsim(spec)
+        tallies = _run_random_fullsim(spec)
     total, detected, undetected, spurious, witnesses = tallies
     rate = detected / total
     lo, hi = (rate, rate) if exhaustive else _wilson_interval(detected, total)
@@ -450,7 +438,7 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
 
 
 # ----------------------------------------------------------------------
-# exact census and Monte Carlo
+# exact census
 
 def _sheet_undetected_by_weight(max_w: int, scheme: str) -> list[int]:
     """Count of weight-w flip sets inside one sheet that the scheme cannot
@@ -541,18 +529,3 @@ def undetected_census(k: int, scheme: str) -> CensusResult:
                         fraction=count / comb(1600, k),
                         witnesses=_census_witnesses(k, scheme) if count else [])
 
-
-def monte_carlo_rate(k: int, trials: int, seed: int, scheme: str = "z-sheet",
-                     workers: int | None = None) -> CampaignReport:
-    """Detection rate over seeded uniform weight-k flip sets of the state:
-    the report of the random strategy over the state register.
-
-    Meant for statistical estimates, so the trial count has a floor; small
-    draws go through run_campaign with the random strategy instead.  The
-    floor, not the pattern budget, bounds this entry point.
-    """
-    if trials < 10_000:
-        raise ValueError("monte_carlo_rate needs at least 10^4 trials")
-    return run_campaign(CampaignSpec(scheme=scheme, k=k, strategy="random",
-                                     trials=trials, seed=seed, max_patterns=trials),
-                        workers)

@@ -1,8 +1,7 @@
 """Command-line front end: hashing, vector replay, campaigns, throughput.
 
 Exit codes: 0 success, 1 known-answer mismatch, 2 bad arguments or an
-empty/unusable fixture, 3 output masked by the detection unit, 4 pattern
-budget exceeded.
+empty/unusable fixture, 3 output masked by the detection unit.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from .campaigns import (
-    DEFAULT_PATTERN_BUDGET,
-    BudgetExceededError,
-    CampaignSpec,
-    run_campaign,
-)
+from .campaigns import CampaignSpec, run_campaign
 from .engine import (
     DESIGN_FREQ_MHZ,
     Engine,
@@ -66,15 +60,14 @@ def parse_response_file(text: str, mode_hint: str | None = None):
         if msg_bits % 8:
             skipped += 1
             return
-        mode = cur.get("mode") or ctx_mode
-        if mode is None:
+        if ctx_mode is None:
             raise FixtureError(f"line {line_no}: cannot tell which mode this record is for")
         msg = cur.get("msg", b"")
         if msg_bits == 0:
             msg = b""
         if len(msg) * 8 != msg_bits:
             raise FixtureError(f"line {line_no}: Msg does not match Len = {msg_bits}")
-        records.append(KatRecord(mode=mode, msg=msg, msg_bits=msg_bits,
+        records.append(KatRecord(mode=ctx_mode, msg=msg, msg_bits=msg_bits,
                                  expected=cur["digest"], line=line_no))
 
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -97,6 +90,8 @@ def parse_response_file(text: str, mode_hint: str | None = None):
         key, _, val = line.partition("=")
         key = key.strip().lower()
         val = val.strip()
+        if key in ("len", "msg"):
+            cur.setdefault("start", line_no)
         try:
             if key == "len":
                 cur["len"] = int(val)
@@ -106,14 +101,15 @@ def parse_response_file(text: str, mode_hint: str | None = None):
                 int(val)  # checked only: each record's output length is its digest's
             elif key in ("md", "output"):
                 cur["digest"] = bytes.fromhex(val)
-                finish_record(line_no)
-                cur = {}
-            elif key == "count":
-                pass
-            else:
-                raise FixtureError(f"line {line_no}: unknown field {key!r}")
+            elif key != "count":
+                raise FixtureError(f"unknown field {key!r}")
         except ValueError as exc:
             raise FixtureError(f"line {line_no}: {exc}") from None
+        if "digest" in cur:
+            finish_record(line_no)
+            cur = {}
+    if cur:
+        raise FixtureError(f"line {cur['start']}: record has no MD or Output")
     return records, skipped
 
 
@@ -198,8 +194,7 @@ def cmd_campaign(args) -> int:
         spec = CampaignSpec(
             scheme=args.fd, k=args.k, strategy=args.strategy, trials=args.trials,
             seed=args.seed, unroll=args.unroll, sheet=args.sheet,
-            scope=tuple(args.scope.split(",")),
-            max_patterns=args.max_patterns)
+            scope=tuple(args.scope.split(",")))
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -212,9 +207,6 @@ def cmd_campaign(args) -> int:
     with out as fh:
         try:
             report = run_campaign(spec)
-        except BudgetExceededError as exc:
-            print(exc, file=sys.stderr)
-            return 4
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -301,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sheet index for exhaustive-sheet")
     sp.add_argument("--scope", default="state",
                     help="comma-separated fault-eligible registers")
-    sp.add_argument("--max-patterns", type=int, default=DEFAULT_PATTERN_BUDGET,
-                    help="pattern budget (default: %(default)s)")
     sp.add_argument("--report", default=None, help="write a JSON report here")
     common(sp, fd_default="z-sheet", fd_alias=True)
     sp.set_defaults(func=cmd_campaign)

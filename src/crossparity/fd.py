@@ -28,8 +28,6 @@ only raise false alarms, never hide a corrupted state.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .keccak import StateArray, column_sums, lane_sums
 
 SCHEMES = ("c-plane", "z-sheet")
@@ -121,7 +119,9 @@ def detectability_predicate(pattern, scheme: str) -> bool:
     pattern restricted to the state register.  True means the flip set is
     caught at the next parity check.  A set escapes the c-plane compare
     iff every column (x, z) receives an even number of flips; z-sheet
-    additionally requires an even count in every lane (x, y).
+    additionally requires an even count in every lane (x, y).  The flips
+    are folded into syndromes in the checker's own layout: state bit i
+    toggles C-plane bit i % 320 and F-slice bit i // 64.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -132,16 +132,10 @@ def detectability_predicate(pattern, scheme: str) -> bool:
     bits = list(pattern)
     if len(set(bits)) != len(bits):
         raise ValueError("flip positions must be distinct")
-    columns: Counter = Counter()
-    lanes: Counter = Counter()
+    columns = lanes = 0
     for i in bits:
         if not 0 <= i < 1600:
             raise ValueError(f"bit index {i} out of range")
-        x, y, z = StateArray.bit_coords(i)
-        columns[(x, z)] += 1
-        lanes[(x, y)] += 1
-    column_even = all(n % 2 == 0 for n in columns.values())
-    if scheme == "c-plane":
-        return not column_even
-    lane_even = all(n % 2 == 0 for n in lanes.values())
-    return not (column_even and lane_even)
+        columns ^= 1 << int(i) % 320
+        lanes ^= 1 << int(i) // 64
+    return bool(columns or scheme == "z-sheet" and lanes)

@@ -15,17 +15,14 @@ import pytest
 
 from crossparity import campaigns
 from crossparity.campaigns import (
-    DEFAULT_PATTERN_BUDGET,
     MAX_WITNESSES,
     STRATEGIES,
     WORKERS_ENV,
-    BudgetExceededError,
     CampaignSpec,
     _pair_keys,
     _sheet_bit_to_state,
     _single_keys,
     _worker_count,
-    monte_carlo_rate,
     run_campaign,
     undetected_census,
 )
@@ -48,7 +45,6 @@ def test_spec_defaults():
     spec = CampaignSpec(scheme="z-sheet", k=2, strategy="exhaustive-sheet")
     assert spec.seed == 0 and spec.unroll == 1 and spec.sheet == 0
     assert spec.scope == ("state",)
-    assert spec.max_patterns == DEFAULT_PATTERN_BUDGET
     assert STRATEGIES == ("exhaustive-sheet", "exhaustive-global", "random")
 
 
@@ -91,9 +87,19 @@ def test_spec_rejects_k_above_scope_width():
                          scope=scope)
 
 
+@pytest.mark.parametrize("strategy, trials", [("random", 50), ("exhaustive-global", None)])
+def test_spec_rejects_duplicate_scope(strategy, trials):
+    # a repeated register would send a random campaign down the engine-level
+    # path and give an exhaustive one a message about shadow registers
+    with pytest.raises(ValueError, match="scope names register 'state' twice"):
+        CampaignSpec(scheme="z-sheet", k=1, strategy=strategy, trials=trials,
+                     scope=("state", "state"))
+
+
 def test_monte_carlo_rejects_k_above_state_width():
     with pytest.raises(ValueError, match="k = 1601 .* 1600"):
-        monte_carlo_rate(1601, 10_000, seed=0)
+        run_campaign(CampaignSpec(scheme="z-sheet", k=1601, strategy="random",
+                                  trials=10_000))
 
 
 def test_spec_is_frozen():
@@ -200,15 +206,13 @@ GOLDEN_CAMPAIGNS = json.loads(
 
 
 def spec_of(record):
-    """The spec a golden record was run from, with the budget raised to
-    its pattern count."""
+    """The spec a golden record was run from."""
     random_strategy = record["strategy"] == "random"
     return CampaignSpec(scheme=record["scheme"], k=record["k"],
                         strategy=record["strategy"],
                         trials=record["total"] if random_strategy else None,
                         seed=record["seed"], unroll=record["unroll"],
-                        sheet=record["sheet"] or 0, scope=tuple(record["scope"]),
-                        max_patterns=record["total"])
+                        sheet=record["sheet"] or 0, scope=tuple(record["scope"]))
 
 
 # The records in golden_campaigns.json were taken from the implementation
@@ -226,9 +230,7 @@ def test_global_and_fullsim_records_match_golden():
 def test_monte_carlo_records_match_golden(workers):
     # 70 000 trials span two chunks
     for want in GOLDEN_CAMPAIGNS["monte_carlo"]:
-        got = monte_carlo_rate(want["k"], want["total"], seed=want["seed"],
-                               scheme=want["scheme"], workers=workers)
-        assert record_without_timing(got) == want
+        assert record_without_timing(run_campaign(spec_of(want), workers=workers)) == want
 
 
 def test_census_matches_golden():
@@ -304,24 +306,6 @@ def test_worker_count_from_environment(monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, bad)
         with pytest.raises(ValueError, match=f"{WORKERS_ENV}.*{bad!r}"):
             _worker_count()
-
-
-# ----------------------------------------------------------------------
-# budget guard
-
-def test_global_triples_exceed_default_budget():
-    spec = CampaignSpec(scheme="z-sheet", k=3, strategy="exhaustive-global")
-    with pytest.raises(BudgetExceededError) as err:
-        run_campaign(spec)
-    assert err.value.needed == math.comb(1600, 3) == 681_387_200
-    assert err.value.budget == DEFAULT_PATTERN_BUDGET
-
-
-def test_budget_applies_to_random_trials():
-    spec = CampaignSpec(scheme="z-sheet", k=2, strategy="random",
-                        trials=2000, max_patterns=1000)
-    with pytest.raises(BudgetExceededError):
-        run_campaign(spec)
 
 
 # ----------------------------------------------------------------------
@@ -496,31 +480,45 @@ def test_census_agrees_with_brute_force_on_column_window():
 # ----------------------------------------------------------------------
 # Monte Carlo
 
-def test_monte_carlo_trial_floor():
-    with pytest.raises(ValueError):
-        monte_carlo_rate(4, 9_999, 0)
+def test_monte_carlo_refuses_k_above_64(monkeypatch):
+    rep = run_campaign(CampaignSpec(scheme="z-sheet", k=64, strategy="random",
+                                    trials=1000), workers=1)
+    assert rep.total == 1000 and rep.detected + rep.undetected == 1000
+
+    def no_draws(*args):
+        raise AssertionError("a refused campaign must not sample")
+
+    monkeypatch.setattr(campaigns, "_sample_distinct", no_draws)
+    with pytest.raises(ValueError, match="k <= 64"):
+        run_campaign(CampaignSpec(scheme="z-sheet", k=65, strategy="random",
+                                  trials=1000), workers=1)
 
 
 def test_monte_carlo_reproducible(pool_starts):
-    a = monte_carlo_rate(4, 70_000, seed=7, workers=1)
-    b = monte_carlo_rate(4, 70_000, seed=7, workers=2)
+    spec = CampaignSpec(scheme="z-sheet", k=4, strategy="random", trials=70_000,
+                        seed=7)
+    a = run_campaign(spec, workers=1)
+    b = run_campaign(spec, workers=2)
     assert pool_starts == [2]
     assert (a.total, a.detected, a.undetected, a.witnesses) == \
         (b.total, b.detected, b.undetected, b.witnesses)
 
 
 def test_monte_carlo_rates():
-    res = monte_carlo_rate(4, 50_000, seed=1, scheme="z-sheet")
+    res = run_campaign(CampaignSpec(scheme="z-sheet", k=4, strategy="random",
+                                    trials=50_000, seed=1))
     assert res.total == 50_000
     assert res.rate >= 0.9999
     assert res.ci_low <= res.rate <= res.ci_high <= 1.0
-    low = monte_carlo_rate(2, 50_000, seed=1, scheme="c-plane")
+    low = run_campaign(CampaignSpec(scheme="c-plane", k=2, strategy="random",
+                                    trials=50_000, seed=1))
     assert low.undetected > 0
     assert res.rate > low.rate
 
 
 def test_monte_carlo_witnesses_verify():
-    res = monte_carlo_rate(2, 200_000, seed=5, scheme="c-plane")
+    res = run_campaign(CampaignSpec(scheme="c-plane", k=2, strategy="random",
+                                    trials=200_000, seed=5))
     assert res.undetected > 0 and res.witnesses
     for witness in res.witnesses[:4]:
         bits = [bit for _, bit in witness]

@@ -9,6 +9,8 @@ import warnings
 from textwrap import dedent
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import VECTOR_DIR
 from crossparity.cli import FixtureError, main, parse_response_file
@@ -93,6 +95,30 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(FixtureError):
         # Msg length disagrees with Len
         parse_response_file("[L = 256]\nLen = 16\nMsg = ab\nMD = aabb\n")
+
+
+_FIELD_LINES = st.one_of(
+    st.tuples(st.sampled_from(["Len", "Msg", "MD", "Output", "COUNT", "Outputlen",
+                               "Bogus", ""]),
+              st.one_of(st.integers(-16, 64).map(str),
+                        st.binary(max_size=4).map(bytes.hex),
+                        st.text(max_size=6))).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["[L = 256]", "[L = ]", "[Tested = SHAKE128]", "[", "]", "",
+                     "# comment", "just words"]),
+    st.text(max_size=12),
+)
+
+
+@given(st.lists(_FIELD_LINES, max_size=12), st.sampled_from([None, "sha3-256"]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_malformed_files_raise_only_fixture_errors(lines, mode_hint):
+    try:
+        records, skipped = parse_response_file("\n".join(lines), mode_hint=mode_hint)
+    except FixtureError:
+        return
+    assert skipped >= 0
+    for rec in records:
+        assert len(rec.msg) * 8 == rec.msg_bits and rec.line >= 1
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(VECTOR_DIR)))
@@ -237,6 +263,14 @@ def test_kat_rejects_wrong_length_sha3_digest(tmp_path, capsys, digest, line):
     assert f"bad fixture: line {line}:" in err and "32 bytes" in err
 
 
+def test_kat_rejects_a_record_left_open(tmp_path, capsys):
+    # Len and Msg with no MD at the end of the file
+    f = tmp_path / "truncated.rsp"
+    f.write_text(GOOD_SHA3 + "\nLen = 8\nMsg = 61\n")
+    assert main(["kat", "--fixture", str(f)]) == 2
+    assert "bad fixture: line 12: record has no MD" in capsys.readouterr().err
+
+
 def test_kat_rejects_empty_shake_output(tmp_path, capsys):
     f = tmp_path / "empty.rsp"
     f.write_text(GOOD_SHAKE.format(""))
@@ -305,23 +339,12 @@ def test_campaign_cli_witness_line(capsys):
     assert "first undetected witness: state[" in out
 
 
-def test_campaign_cli_budget_guard(capsys):
+def test_campaign_cli_global_triples(capsys):
     rc = main(["campaign", "--k", "3", "--strategy", "exhaustive-global",
                "--fd", "z-sheet"])
-    assert rc == 4
-    assert "budget" in capsys.readouterr().err
-
-
-def test_campaign_cli_raised_budget_flag():
-    # The same run is allowed once the budget is raised explicitly; use
-    # the random strategy to keep the runtime down while checking the
-    # flag plumbing.
-    rc = main(["campaign", "--k", "2", "--strategy", "random", "--trials", "500",
-               "--seed", "1", "--max-patterns", "400"])
-    assert rc == 4
-    rc = main(["campaign", "--k", "2", "--strategy", "random", "--trials", "500",
-               "--seed", "1", "--max-patterns", "600"])
     assert rc == 0
+    assert "patterns: 681387200  detected: 681387200  undetected: 0" in \
+        capsys.readouterr().out
 
 
 def test_campaign_cli_rejects_fd_none(capsys):
@@ -333,6 +356,11 @@ def test_campaign_cli_rejects_bad_spec(capsys):
     assert main(["campaign", "--k", "1", "--strategy", "random"]) == 2  # no trials
     assert main(["campaign", "--k", "1", "--strategy", "random", "--trials", "10",
                  "--scope", "state,flux"]) == 2
+    assert main(["campaign", "--k", "1", "--strategy", "random", "--trials", "10",
+                 "--scope", "state,state"]) == 2
+    assert "twice" in capsys.readouterr().err
+    assert main(["campaign", "--k", "65", "--strategy", "random", "--trials", "10"]) == 2
+    assert "k <= 64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])

@@ -316,6 +316,26 @@ def test_predicate_agrees_with_register_check(bits, scheme, seed):
     assert got == detectability_predicate(bits, scheme)
 
 
+# two lanes and two columns in each of two sheets, where escaping sets are
+# common; the column pairs in it leave the columns even whatever their union
+_BOX = [idx(x, y, z) for x in (0, 3) for y in (1, 4) for z in (5, 60)]
+_COLUMN_PAIRS = [(idx(x, 1, z), idx(x, 4, z)) for x in (0, 3) for z in (5, 60)]
+
+
+@given(st.one_of(st.sets(st.integers(0, 1599), max_size=12),
+                 st.sets(st.sampled_from(_BOX)),
+                 st.sets(st.sampled_from(_COLUMN_PAIRS)).map(
+                     lambda pairs: {bit for pair in pairs for bit in pair})),
+       st.sampled_from(SCHEMES))
+@settings(max_examples=200, deadline=None)
+def test_predicate_is_the_parity_of_the_flipped_state(bits, scheme):
+    # the syndromes of the flips alone are the column and lane sums of a
+    # zero state with those flips
+    flipped = StateArray.zeros().with_flips(bits)
+    caught = column_sums(flipped) != 0 or (scheme == "z-sheet" and lane_sums(flipped) != 0)
+    assert detectability_predicate(bits, scheme) is caught
+
+
 def test_z_sheet_detects_everything_c_plane_does():
     rng = random.Random(14)
     for _ in range(200):

@@ -23,11 +23,14 @@ def test_reproduce_results_quick(tmp_path, capsys):
     assert "k=8: rate 1.000000  CI95 [0.999962, 1.000000]  undetected 0" in text
     assert "silent corruption 0" in text
     records = json.loads(out.read_text())
-    # five sheets at k = 1..4, c-plane global k = 1, 2, then the engine-level
-    # z-sheet campaign at k = 1, 2
-    assert len(records) == 24
+    # five sheets at k = 1..4, c-plane global k = 1, 2, Monte Carlo k = 4..8,
+    # then the engine-level z-sheet campaign at k = 1, 2
+    assert len(records) == 29
     assert [r["undetected"] for r in records[20:22]] == [0, 3200]
-    for k, rec in zip((1, 2), records[22:]):
+    for k, rec in zip(range(4, 9), records[22:27]):
+        assert (rec["k"], rec["strategy"], rec["seed"]) == (k, "random", 1000 + k)
+        assert rec["total"] == rec["detected"] + rec["undetected"] == 10**5
+    for k, rec in zip((1, 2), records[27:]):
         assert (rec["k"], rec["scope"]) == (k, ["state", "c_prime", "f_prime", "cf_prime"])
         assert rec["undetected"] == 0
         assert rec["detected"] + rec["spurious"] == rec["total"] == 200
