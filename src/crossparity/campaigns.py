@@ -7,9 +7,13 @@ Three strategies:
   distinct sheets, so per-sheet enumeration plus composition covers the
   global picture at a fraction of the cost.
 * ``exhaustive-global``: every weight-k flip set over all 1600 state
-  bits.  Supported for k <= 3 (the triple space is 681 million patterns).
+  bits.
 * ``random``: seeded uniform samples of weight-k flip sets, with a
   Wilson 95% interval on the detection rate.
+
+Over the state, an exhaustive sweep takes k <= 4 in either space (global
+k = 4 is 272 billion patterns) and Monte Carlo k <= 64; ``CampaignSpec``
+refuses anything above.
 
 Campaigns over the plain state register are evaluated through the parity
 arithmetic of the shadows, which agrees with a full engine run by
@@ -60,7 +64,11 @@ STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 # Monte Carlo trials per chunk; fixed so that the sampled patterns never
 # depend on the worker count
 _CHUNK_MC = 1 << 16
-_MAX_MC_K = 64
+
+# largest k over the state: a sweep's heads and entries are at most pairs,
+# and _sample_distinct redraws a whole row on any repeat, so past k = 64 a
+# Monte Carlo chunk takes seconds and soon never finishes
+_MAX_K = {"exhaustive-sheet": 4, "exhaustive-global": 4, "random": 64}
 
 _FULLSIM_MODE = "sha3-256"
 _FULLSIM_MESSAGE = b"engine-level fault campaign"
@@ -103,6 +111,9 @@ class CampaignSpec:
         width = sum(REGISTER_WIDTHS[reg] for reg in self.scope)
         if self.k > width:
             raise ValueError(f"k = {self.k} exceeds the {width} bits in scope")
+        if self.scope == ("state",) and self.k > _MAX_K[self.strategy]:
+            raise ValueError(f"{self.strategy} campaigns over the state support "
+                             f"k <= {_MAX_K[self.strategy]}")
         if self.scheme == "c-plane" and set(self.scope) & {"f_prime", "cf_prime"}:
             raise ValueError("f_prime/cf_prime only exist under z-sheet")
         if self.scope != ("state",) and self.strategy != "random":
@@ -176,7 +187,8 @@ def _wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def _worker_count(workers: int | None = None) -> int:
+def worker_count(workers: int | None = None) -> int:
+    """``workers``, else CROSSPARITY_WORKERS, else the available CPUs."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
@@ -346,10 +358,6 @@ def _mc_chunk(args):
 def _run_exhaustive(spec: CampaignSpec):
     per_sheet = spec.strategy == "exhaustive-sheet"
     space = 320 if per_sheet else 1600
-    if per_sheet and spec.k > 4:
-        raise ValueError("per-sheet enumeration supports k <= 4")
-    if not per_sheet and spec.k > 3:
-        raise ValueError("global enumeration supports k <= 3")
     total = comb(space, spec.k)
     evaluated, undetected, patterns = _sweep(spec.scheme, space, spec.k)
     if evaluated != total:
@@ -360,10 +368,6 @@ def _run_exhaustive(spec: CampaignSpec):
 
 
 def _run_random_state(spec: CampaignSpec, workers: int):
-    # _sample_distinct redraws a whole row on any repeat, so past this
-    # weight a chunk takes seconds and soon never finishes
-    if spec.k > _MAX_MC_K:
-        raise ValueError(f"Monte Carlo over the state supports k <= {_MAX_MC_K}")
     tasks = [(spec.scheme, spec.k, spec.seed, idx, min(_CHUNK_MC, spec.trials - lo))
              for idx, lo in enumerate(range(0, spec.trials, _CHUNK_MC))]
     if workers <= 1 or len(tasks) <= 1:
@@ -417,7 +421,7 @@ def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignRepo
     campaigns evaluate the parity arithmetic directly.  Exhaustive rates are exact (the
     interval is the rate itself); sampled rates carry a Wilson interval.
     """
-    w = _worker_count(workers)
+    w = worker_count(workers)
     start = time.perf_counter()
     exhaustive = spec.strategy != "random"
     if exhaustive:

@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from .campaigns import CampaignSpec, run_campaign
+from .campaigns import STRATEGIES, CampaignSpec, run_campaign, worker_count
 from .engine import (
     DESIGN_FREQ_MHZ,
     Engine,
@@ -22,9 +22,10 @@ from .engine import (
     UNROLL_FACTORS,
     throughput_model,
 )
+from .fd import SCHEMES
 
 MODE_NAMES = tuple(MODES)
-SCHEME_CHOICES = ("none", "c-plane", "z-sheet")
+SCHEME_CHOICES = ("none",) + SCHEMES
 
 
 # ----------------------------------------------------------------------
@@ -195,21 +196,20 @@ def cmd_campaign(args) -> int:
             scheme=args.fd, k=args.k, strategy=args.strategy, trials=args.trials,
             seed=args.seed, unroll=args.unroll, sheet=args.sheet,
             scope=tuple(args.scope.split(",")))
+        workers = worker_count()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    # open the report first, so a bad path fails before the campaign runs
+    # every refusal comes before the report is opened, and the report
+    # before the campaign runs, so a bad path fails early and a refused
+    # campaign leaves an earlier report as it was
     try:
         out = open(args.report, "w") if args.report else nullcontext()
     except OSError as exc:
         print(f"cannot write the report: {exc}", file=sys.stderr)
         return 2
     with out as fh:
-        try:
-            report = run_campaign(spec)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        report = run_campaign(spec, workers)
         print(f"{report.strategy} campaign, scheme={report.scheme} k={report.k} "
               f"unroll={report.unroll} seed={report.seed}")
         print(f"patterns: {report.total}  detected: {report.detected}  "
@@ -285,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("campaign", help="run a fault-injection campaign")
     sp.add_argument("--k", type=int, required=True, help="flips per pattern")
-    sp.add_argument("--strategy", required=True,
-                    choices=("exhaustive-sheet", "exhaustive-global", "random"))
+    sp.add_argument("--strategy", required=True, choices=STRATEGIES)
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sheet", type=int, default=0,

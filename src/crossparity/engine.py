@@ -123,10 +123,11 @@ class Engine:
     output gate is the detection unit's sticky error flag, read as
     ``masked``: each squeezed byte is emitted as zero once the flag is
     up, and ``squeezed`` keeps the ungated bytes shifted out since the
-    last reset.  ``injector``, when set, is called at every commit
-    window of every permutation with (permutation_index, commit_slot) and
-    may return fault targets to apply; it exists for the fault campaigns
-    and has no effect otherwise.
+    last reset.  ``hook``, when set, is called at every commit window
+    of every permutation as ``hook(engine, slot, state)``, after the
+    detection unit primes and before the check, and returns the state the
+    check and the next rounds read; the fault campaigns flip bits and keep
+    checkpoints through it.  It is unset by default.
     """
 
     def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
@@ -135,7 +136,7 @@ class Engine:
             raise ValueError(f"unroll must be one of {UNROLL_FACTORS}")
         self.unroll = unroll
         self.fd = None if fd is None else FdRegisters(fd)
-        self.injector = None
+        self.hook = None
         self.reset()
 
     def reset(self) -> None:
@@ -223,22 +224,6 @@ class Engine:
     # ------------------------------------------------------------------
     # permutation
 
-    def _apply_injection(self, sa: StateArray, slot: int) -> StateArray:
-        targets = self.injector(self.permutation_index, slot)
-        if not targets:
-            return sa
-        state_bits = []
-        for t in targets:
-            if t.register == "state":
-                state_bits.append(t.bit)
-            else:
-                if self.fd is None:
-                    raise RuntimeError("shadow-register fault without detection attached")
-                self.fd.flip(t.register, t.bit)
-        if state_bits:
-            sa = sa.with_flips(state_bits)
-        return sa
-
     def run_permutation(self, start_slot: int = 0, state: StateArray | None = None) -> None:
         """Run the 24 rounds, committing every ``unroll`` rounds.
 
@@ -271,8 +256,8 @@ class Engine:
             fd.prime(sa)
             lanes = fd.scheme == "z-sheet"
         for slot in range(start_slot, groups):
-            if self.injector is not None:
-                sa = self._apply_injection(sa, slot)
+            if self.hook is not None:
+                sa = self.hook(self, slot, sa)
             if fd is not None:
                 fd.check(column_sums(sa), lane_sums(sa) if lanes else 0)
             for r in range(slot * self.unroll, (slot + 1) * self.unroll):

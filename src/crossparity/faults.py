@@ -2,10 +2,13 @@
 
 A fault pattern is a set of bit flips applied to one or more registers
 (the 1600-bit state or one of the shadow parity registers) at a chosen
-commit window: right after the detection unit primes, right before the
-next group of rounds reads the register back.  That is the window a
-transient upset has to land in to matter; anything flipped during a
-round's combinational evaluation never reaches a register.
+commit window inside a permutation: right after the detection unit
+primes, right before the next group of rounds reads the register back and
+the check compares it.  Those windows are the only ones covered.  The
+168-cycle shift phases (absorb, zero fill, squeeze, SHAKE refresh) run
+with the shadows invalidated, so an upset there goes unchecked and is not
+modelled.  A flip latched with a round's output is committed with it and
+primed into the shadows, so the next check does not see it.
 
 Outcomes of an injected run, judged against the fault-free digest:
 
@@ -14,17 +17,17 @@ Outcomes of an injected run, judged against the fault-free digest:
 * ``silent-corruption`` no error, wrong digest
 * ``benign``            no error, digest unaffected
 
-A faulted run is the fault-free run up to its window and its own run
-after it, so it starts from a ``ReferenceRun``: one fault-free run with
-the detection unit attached that keeps the engine's registers at its
-commit windows and ends with the error flag down.  A trial restores the
-registers of its window, primes the checker from the state committed
-there, injects, and runs every remaining check, round, permutation and
-squeeze through the engine, so a resumed trial is checked exactly as a
-run from the start would be.  A campaign shares one reference run among
-all its trials and its digest is the fault-free one; a lone
-``inject_and_run`` makes its own, which stops at the window when the
-fault-free digest is given.
+Faults reach the engine only through its commit-window hook, and
+``flip_hook`` builds the one that flips a pattern.  A lone
+``inject_and_run`` given the fault-free digest runs the hash once from the
+start with it.  Otherwise a trial starts from a ``ReferenceRun``: one
+fault-free run with the detection unit attached that keeps the engine's
+registers at every commit window, through a hook of its own, and ends with
+the error flag down.  The trial restores the registers of its window,
+primes the checker from the state committed there, injects, and runs every
+remaining check, round, permutation and squeeze through the engine, so a
+resumed trial is checked exactly as a run from the start would be.  A
+campaign shares one reference run among all its trials.
 """
 
 from __future__ import annotations
@@ -140,56 +143,50 @@ class ReferenceRun:
     scheme: str
     unroll: int
     out_len: int
-    digest: bytes | None    # None when the run stopped at its last wanted window
+    digest: bytes
     checkpoints: dict = field(repr=False)
 
 
-class _WindowReached(Exception):
-    """Ends a reference run at the one window it keeps."""
+def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
+    """The engine hook that flips ``pattern`` at the scheduled commit
+    window: state bits in the state the check reads, shadow bits in the
+    detection unit's registers."""
+    window = (schedule.permutation_index, schedule.commit_slot)
+    state_bits = pattern.state_bits
+    shadow = [t for t in pattern.targets if t.register != "state"]
 
-
-class _CheckpointingEngine(Engine):
-    """A run that injects nothing and keeps its registers at every commit
-    window, or only at ``window``; with ``stop`` it ends there."""
-
-    def __init__(self, mode, scheme, unroll, window, stop):
-        super().__init__(mode, fd=scheme, unroll=unroll)
-        self.injector = lambda perm, slot: None      # visit every window
-        self.window = window
-        self.stop = stop
-        self.checkpoints = {}
-
-    def _apply_injection(self, sa, slot):
-        key = (self.permutation_index, slot)
-        if self.window in (None, key):
-            self.checkpoints[key] = Checkpoint(sa, self.cycles, bytes(self.squeezed))
-            if self.stop:
-                raise _WindowReached
-        return sa
-
-
-def _reference(mode, message, scheme, unroll, out_len, window=None,
-               stop=False) -> ReferenceRun:
-    eng = _CheckpointingEngine(mode, scheme, unroll, window, stop)
-    n = eng.resolve_out_len(out_len)
-    digest = None
-    try:
-        eng.absorb(message)
-        eng.finish()
-        digest = eng.squeeze(n)
-    except _WindowReached:
-        pass
-    if eng.fd.error:
-        raise RuntimeError("the fault-free reference run raised the error flag")
-    return ReferenceRun(eng.mode.name, bytes(message), scheme, unroll, n, digest,
-                        eng.checkpoints)
+    def hook(eng: Engine, slot: int, state: StateArray) -> StateArray:
+        if (eng.permutation_index, slot) != window:
+            return state
+        if shadow and eng.fd is None:
+            raise RuntimeError("shadow-register fault without detection attached")
+        for t in shadow:
+            eng.fd.flip(t.register, t.bit)
+        return state.with_flips(state_bits)
+    return hook
 
 
 def reference_run(mode: str, message: bytes, scheme: str = "z-sheet", unroll: int = 1,
                   out_len: int | None = None) -> ReferenceRun:
     """The fault-free run of one hash, checkpointed at every commit window,
     for many ``inject_and_run`` trials to share."""
-    return _reference(mode, message, scheme, unroll, out_len)
+    eng = Engine(mode, fd=scheme, unroll=unroll)
+    n = eng.resolve_out_len(out_len)
+    checkpoints = {}
+
+    def keep(eng: Engine, slot: int, state: StateArray) -> StateArray:
+        checkpoints[eng.permutation_index, slot] = Checkpoint(
+            state, eng.cycles, bytes(eng.squeezed))
+        return state
+
+    eng.hook = keep
+    eng.absorb(message)
+    eng.finish()
+    digest = eng.squeeze(n)
+    if eng.fd.error:
+        raise RuntimeError("the fault-free reference run raised the error flag")
+    return ReferenceRun(eng.mode.name, bytes(message), scheme, unroll, n, digest,
+                        checkpoints)
 
 
 def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
@@ -199,41 +196,46 @@ def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
                    reference: ReferenceRun | None = None) -> InjectionResult:
     """Run one hash with the pattern injected at the scheduled window.
 
-    The run resumes at the window from ``reference``, a ``reference_run``
-    of the same hash, or else from a reference run made for this call.
-    ``golden`` defaults to the reference run's digest.
+    Given ``golden``, the fault-free digest, and no ``reference``, the hash
+    runs once from the start.  Otherwise the run resumes at the window from
+    ``reference``, a ``reference_run`` of the same hash, or else from a
+    reference run made for this call, and ``golden`` defaults to its digest.
     """
     schedule.validate_for_unroll(unroll)
     eng = Engine(mode, fd=scheme, unroll=unroll)
     n = eng.resolve_out_len(out_len)
-    window = (schedule.permutation_index, schedule.commit_slot)
-    if reference is None:
-        reference = _reference(mode, message, scheme, unroll, n, window,
-                               stop=golden is not None)
-    elif (reference.mode, reference.message, reference.scheme, reference.unroll,
-          reference.out_len) != (eng.mode.name, message, scheme, unroll, n):
-        raise ValueError("the reference run is of a different hash")
-    if golden is None:
-        golden = reference.digest
-    cp = reference.checkpoints.get(window)
-    if cp is None:
-        raise ValueError(f"schedule never fired: the run has no permutation "
-                         f"{schedule.permutation_index}")
-
-    # load the registers of the window; the permutations absorb runs come
-    # first, and the engine squeezes after the pad block's
+    eng.hook = flip_hook(pattern, schedule)
     perm = schedule.permutation_index
-    eng.phase = "absorbing" if perm < len(message) // eng.mode.rate_bytes else "squeezing"
-    eng.cycles = cp.cycles
-    eng.permutation_index = perm
-    eng.ratecount = SHIFT_RATE_BYTES
-    eng.squeezed[:] = cp.squeezed
-    eng.injector = lambda p, slot: pattern.targets if (p, slot) == window else None
-    eng.run_permutation(schedule.commit_slot, cp.state)
-    if eng.phase == "absorbing":
-        eng.absorb(message[(perm + 1) * eng.mode.rate_bytes:])
+    unfired = f"schedule never fired: the run has no permutation {perm}"
+    if reference is None and golden is not None:
+        eng.absorb(message)
         eng.finish()
-    emitted = cp.squeezed + eng.squeeze(n - len(cp.squeezed))
+        emitted = eng.squeeze(n)
+        if perm >= eng.permutation_index:
+            raise ValueError(unfired)
+    else:
+        if reference is None:
+            reference = reference_run(mode, message, scheme, unroll, n)
+        elif (reference.mode, reference.message, reference.scheme, reference.unroll,
+              reference.out_len) != (eng.mode.name, message, scheme, unroll, n):
+            raise ValueError("the reference run is of a different hash")
+        if golden is None:
+            golden = reference.digest
+        cp = reference.checkpoints.get((perm, schedule.commit_slot))
+        if cp is None:
+            raise ValueError(unfired)
+        # load the registers of the window; the permutations absorb runs
+        # come first, and the engine squeezes after the pad block's
+        eng.phase = "absorbing" if perm < len(message) // eng.mode.rate_bytes else "squeezing"
+        eng.cycles = cp.cycles
+        eng.permutation_index = perm
+        eng.ratecount = SHIFT_RATE_BYTES
+        eng.squeezed[:] = cp.squeezed
+        eng.run_permutation(schedule.commit_slot, cp.state)
+        if eng.phase == "absorbing":
+            eng.absorb(message[(perm + 1) * eng.mode.rate_bytes:])
+            eng.finish()
+        emitted = cp.squeezed + eng.squeeze(n - len(cp.squeezed))
     digest = bytes(eng.squeezed)
 
     error = eng.fd.error

@@ -93,9 +93,14 @@ def keccak_round(a, ir):
     return iota(chi(pi(rho(theta(a)))), ir)
 
 
-def keccak_f1600(b):
+def keccak_f1600(b, flip_round=None, flip_bits=()):
+    """Keccak-f[1600] on a 200-byte state.  Before round ``flip_round`` the
+    bits ``flip_bits`` (linear indices 64*(5y+x) + z) are flipped."""
     a = state_from_bytes(b)
     for ir in range(24):
+        if ir == flip_round:
+            for i in flip_bits:
+                a[(i // 64 % 5, i // 320)] ^= 1 << i % 64
         a = keccak_round(a, ir)
     return state_to_bytes(a)
 
@@ -112,18 +117,29 @@ def pad10x1_with_suffix(suffix_bits, n_suffix, rate_bytes, msg_len):
     return bytes(pad)
 
 
-def sponge(rate_bytes, msg, suffix_bits, n_suffix, out_len):
+def sponge(rate_bytes, msg, suffix_bits, n_suffix, out_len, fault=None):
+    """The sponge over the padded message.  ``fault`` = (p, r, bits) flips
+    the state bits ``bits`` before round r of permutation p, counting the
+    absorb permutations from 0 and then the squeeze ones."""
+    p_fault, r_fault, bits = fault if fault is not None else (None, None, ())
+    perms = 0
+
+    def f(state):
+        nonlocal perms
+        perms += 1
+        return keccak_f1600(state, r_fault if perms - 1 == p_fault else None, bits)
+
     state = bytes(200)
     padded = msg + pad10x1_with_suffix(suffix_bits, n_suffix, rate_bytes, len(msg))
     for i in range(0, len(padded), rate_bytes):
         block = padded[i:i + rate_bytes]
         state = bytes(s ^ m for s, m in zip(state, block.ljust(200, b"\x00")))
-        state = keccak_f1600(state)
+        state = f(state)
     out = b""
     while len(out) < out_len:
         out += state[:rate_bytes]
         if len(out) < out_len:
-            state = keccak_f1600(state)
+            state = f(state)
     return out[:out_len]
 
 
@@ -133,12 +149,13 @@ _SHA3 = {"sha3-224": (28, 144), "sha3-256": (32, 136),
 _SHAKE = {"shake128": 168, "shake256": 136}
 
 
-def oracle_digest(mode, msg, out_len=None):
-    """Hash msg under the named mode; out_len (bytes) is required for SHAKE."""
+def oracle_digest(mode, msg, out_len=None, fault=None):
+    """Hash msg under the named mode; out_len (bytes) is required for SHAKE.
+    ``fault`` is passed to ``sponge``."""
     if mode in _SHA3:
         d, rate = _SHA3[mode]
         if out_len is not None and out_len != d:
             raise ValueError("fixed-length mode")
-        return sponge(rate, msg, 0b10, 2, d)
+        return sponge(rate, msg, 0b10, 2, d, fault)
     rate = _SHAKE[mode]
-    return sponge(rate, msg, 0b1111, 4, out_len)
+    return sponge(rate, msg, 0b1111, 4, out_len, fault)

@@ -185,15 +185,15 @@ def test_hash_masked_output_exit_code(tmp_path, capsys, monkeypatch):
     # Force the detection unit to trip: corrupt a shadow register at the
     # first commit window so the digest gets masked.
     import crossparity.cli as cli
-    from crossparity.faults import FaultTarget
+    from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, flip_hook
 
     real_engine = cli.Engine
 
     class Sabotaged(real_engine):
         def __init__(self, *a, **kw):
             super().__init__(*a, **kw)
-            self.injector = lambda perm, slot: \
-                (FaultTarget("c_prime", 0),) if (perm, slot) == (0, 0) else None
+            self.hook = flip_hook(FaultPattern((FaultTarget("c_prime", 0),)),
+                                  InjectionSchedule(0, 0))
 
     monkeypatch.setattr(cli, "Engine", Sabotaged)
     p = tmp_path / "m.bin"
@@ -320,7 +320,7 @@ def test_campaign_cli_bad_report_path_fails_before_the_campaign(tmp_path, capsys
     import crossparity.cli as cli
 
     ran = []
-    monkeypatch.setattr(cli, "run_campaign", lambda spec: ran.append(spec))
+    monkeypatch.setattr(cli, "run_campaign", lambda *args: ran.append(args))
     bad = tmp_path / "no-such-dir" / "r.json"
     rc = main(["campaign", "--k", "1", "--strategy", "exhaustive-global",
                "--report", str(bad)])
@@ -369,6 +369,22 @@ def test_campaign_cli_rejects_bad_worker_count(value, capsys, monkeypatch):
     assert main(["campaign", "--k", "2", "--strategy", "exhaustive-sheet"]) == 2
     err = capsys.readouterr().err
     assert "CROSSPARITY_WORKERS" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("args, workers", [
+    (["--k", "5", "--strategy", "exhaustive-sheet"], None),
+    (["--k", "65", "--strategy", "random", "--trials", "10"], None),
+    (["--k", "2", "--strategy", "exhaustive-sheet"], "abc"),
+])
+def test_campaign_cli_refusal_keeps_an_earlier_report(args, workers, tmp_path, capsys,
+                                                      monkeypatch):
+    if workers is not None:
+        monkeypatch.setenv("CROSSPARITY_WORKERS", workers)
+    old = tmp_path / "old.json"
+    old.write_bytes(b'[{"earlier": "report"}]\n')
+    assert main(["campaign", *args, "--report", str(old)]) == 2
+    assert old.read_bytes() == b'[{"earlier": "report"}]\n'
+    assert capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scope, width", [("state", 1600), ("c_prime", 320)])

@@ -9,8 +9,7 @@ import random
 
 import pytest
 
-from crossparity.engine import Engine
-from crossparity.fd import SHADOW_WIDTHS, FdRegisters
+from crossparity.fd import SCHEMES, SHADOW_WIDTHS, FdRegisters, detectability_predicate
 from crossparity.faults import (
     OUTCOMES,
     REGISTER_WIDTHS,
@@ -21,6 +20,7 @@ from crossparity.faults import (
     reference_run,
 )
 from crossparity.keccak import StateArray
+from oracle_fips202 import oracle_digest
 
 idx = StateArray.linear_index
 MSG = b"fault harness message"
@@ -263,17 +263,6 @@ def test_shadow_faults_across_multi_block_xof_runs(mode, scheme):
 # ----------------------------------------------------------------------
 # trials resumed from a shared reference run
 
-def _replay(mode, msg, pattern, schedule, scheme, unroll, n):
-    """A faulted run from the start: (error flag, ungated digest, emitted)."""
-    eng = Engine(mode, fd=scheme, unroll=unroll)
-    window = (schedule.permutation_index, schedule.commit_slot)
-    eng.injector = lambda perm, slot: pattern.targets if (perm, slot) == window else None
-    eng.absorb(msg)
-    eng.finish()
-    emitted = eng.squeeze(n)
-    return eng.fd.error, bytes(eng.squeezed), emitted
-
-
 def _trial_patterns(rng, scheme):
     """k = 1, 2, 4 over the full scope, a weight-4 rectangle (which both
     schemes miss) and a shadow-only pair (a false alarm)."""
@@ -304,7 +293,6 @@ def test_shared_reference_matches_fresh_runs_trial_for_trial(scheme, unroll):
             ("shake128", shake_msg, 2 * 168 + 5, 4,
              hashlib.shake_128(shake_msg).digest(2 * 168 + 5))):
         ref = reference_run(mode, msg, scheme=scheme, unroll=unroll, out_len=out_len)
-        n = ref.out_len
         assert ref.digest == want
         # every window is kept, at the cycle count of the shift schedule
         assert {(p, s): cp.cycles for (p, s), cp in ref.checkpoints.items()} == \
@@ -323,8 +311,6 @@ def test_shared_reference_matches_fresh_runs_trial_for_trial(scheme, unroll):
                 for res in (fresh, stopped):
                     assert (res.outcome, res.error_raised, res.digest, res.emitted) == \
                         (shared.outcome, shared.error_raised, shared.digest, shared.emitted)
-                assert (shared.error_raised, shared.digest, shared.emitted) == \
-                    _replay(mode, msg, pattern, schedule, scheme, unroll, n)
                 outcomes.add(shared.outcome)
     assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
 
@@ -356,3 +342,65 @@ def test_shared_reference_must_be_of_the_same_hash():
                        reference=ref)
     res = inject_and_run("SHA3-256", MSG, pattern, schedule, unroll=4, reference=ref)
     assert res.golden == ref.digest == hashlib.sha3_256(MSG).digest()
+
+
+# ----------------------------------------------------------------------
+# injected runs against the FIPS 202 oracle
+
+ORACLE_RATE = {"sha3-224": 144, "sha3-256": 136, "sha3-384": 104, "sha3-512": 72,
+               "shake128": 168, "shake256": 136}
+
+
+def _oracle_patterns(rng, scheme):
+    """State-only patterns (random weight 1-4, a sheet rectangle that both
+    schemes miss, a column pair that only z-sheet sees) and a shadow-only
+    one (a false alarm)."""
+    x, (y1, y2), (z1, z2) = rng.randrange(5), rng.sample(range(5), 2), rng.sample(range(64), 2)
+    shadows = [FaultTarget(reg, b) for reg, width in SHADOW_WIDTHS.items()
+               if scheme == "z-sheet" or reg == "c_prime" for b in range(width)]
+    return [state_pattern(*rng.sample(range(1600), rng.randint(1, 4))),
+            state_pattern(*(idx(x, y, z) for y in (y1, y2) for z in (z1, z2))),
+            state_pattern(idx(x, y1, z1), idx(x, y2, z1)),
+            FaultPattern(tuple(rng.sample(shadows, rng.randint(1, 2))))]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("unroll", [1, 4, 24])
+def test_injected_runs_match_the_oracle(scheme, unroll):
+    # Every mode absorbs a full block and then the pad block, and the SHAKEs
+    # squeeze two refresh blocks more.  Each permutation of each run takes
+    # one fault, at the first, middle or last slot in turn, on the path
+    # that runs from the start (golden=) and on the resumed one
+    # (reference=).  The oracle flips the state bits before the round the
+    # slot leads into; shadow bits leave its digest fault-free.
+    rng = random.Random(f"oracle/{scheme}/{unroll}")
+    slots = 24 // unroll
+    trial = 0
+    outcomes = set()
+    for mode, rate in ORACLE_RATE.items():
+        msg = rng.randbytes(rng.randrange(rate, 2 * rate))
+        out_len = 2 * rate + 5 if mode.startswith("shake") else None
+        golden = oracle_digest(mode, msg, out_len)
+        n = len(golden)
+        ref = reference_run(mode, msg, scheme=scheme, unroll=unroll, out_len=out_len)
+        assert ref.digest == golden
+        absorbs = len(msg) // rate + 1
+        for perm in range(absorbs + (n - 1) // rate):
+            slot = (0, slots // 2, slots - 1)[trial % 3]
+            pattern = _oracle_patterns(rng, scheme)[trial % 4]
+            trial += 1
+            bits = pattern.state_bits
+            flag = detectability_predicate(bits, scheme) if pattern.state_only else True
+            digest = oracle_digest(mode, msg, out_len, (perm, slot * unroll, bits))
+            open_bytes = min(n, max(0, perm - absorbs + 1) * rate) if flag else n
+            emitted = digest[:open_bytes] + bytes(n - open_bytes)
+            schedule = InjectionSchedule(perm, slot)
+            for res in (
+                    inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                   unroll=unroll, out_len=out_len, golden=golden),
+                    inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
+                                   unroll=unroll, out_len=out_len, reference=ref)):
+                assert (res.error_raised, res.digest, res.emitted, res.golden) == \
+                    (flag, digest, emitted, golden), (mode, perm, slot, pattern)
+                outcomes.add(res.outcome)
+    assert {"detected", "silent-corruption", "spurious-error"} <= outcomes

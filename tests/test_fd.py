@@ -21,7 +21,7 @@ from crossparity.fd import (
 )
 from crossparity.campaigns import _classes
 from crossparity.engine import Engine
-from crossparity.faults import FaultTarget
+from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, flip_hook
 from crossparity.keccak import StateArray, column_sums, lane_sums
 
 idx = StateArray.linear_index
@@ -249,8 +249,7 @@ def test_error_flag_gates_output_until_reset(monkeypatch):
     monkeypatch.setattr(FdRegisters, "check", check)
     eng = Engine("shake128", fd="z-sheet")
     assert eng.masked is False
-    eng.injector = lambda perm, slot: \
-        (FaultTarget("c_prime", 3),) if (perm, slot) == (0, 0) else None
+    eng.hook = flip_hook(FaultPattern((FaultTarget("c_prime", 3),)), InjectionSchedule(0, 0))
     eng.absorb(b"gate")
     eng.finish()
     assert eng.masked is True
@@ -262,7 +261,7 @@ def test_error_flag_gates_output_until_reset(monkeypatch):
 
     eng.reset()
     assert eng.masked is False and eng.squeezed == b""
-    eng.injector = None
+    eng.hook = None
     eng.absorb(b"gate")
     eng.finish()
     assert eng.squeeze(200) == hashlib.shake_128(b"gate").digest(200)
