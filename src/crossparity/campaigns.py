@@ -25,17 +25,21 @@ escapes exactly when the keys of its two halves are equal, so one pass
 of binary searches in a sorted key table counts the escapes of every
 head of an exhaustive sweep at once.  Monte Carlo sorts each sampled row
 instead.  Campaigns whose scope includes shadow registers run each trial
-through the engine, since only the full run can tell a false alarm from
-real corruption; the trials share one checkpointed fault-free run and
-each resumes at its commit window (see ``faults``).
+through the engine's register moves, since only the full run can tell a
+false alarm from real corruption.  Every trial hashes the same fixed
+message, one permutation long, and the trials run as numpy rows that
+start from the entry state of one shared fault-free run and prime, check
+and run rounds as ``Engine.run_permutation`` does (see ``_run_batch``).
 
 Each strategy returns its tallies and ``run_campaign`` builds the one
 report from them.  Exhaustive sweeps run in one pass in the calling
-process.  Monte Carlo alone is split into chunks: fixed-size chunks of
-trials, each drawn from its own seeded generator and handed to a process
-pool, so results are identical for any worker count.  The worker count
-comes from the CROSSPARITY_WORKERS environment variable, defaulting to
-the available parallelism.
+process.  Engine-level trials run in the calling process in fixed-size
+batches, so memory stays bounded for any trial count.  Monte Carlo over
+the state is split into fixed-size chunks of trials, each drawn from its
+own seeded generator and handed to a process pool, so results are
+identical for any worker count.  The worker count comes from the
+CROSSPARITY_WORKERS environment variable, defaulting to the available
+parallelism.
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ from math import comb, prod
 import numpy as np
 
 from .engine import UNROLL_FACTORS
-from .faults import (REGISTER_WIDTHS, FaultPattern, FaultTarget, InjectionSchedule,
-                     inject_and_run, reference_run)
-from .fd import SCHEMES, detectability_predicate
-from .keccak import NUM_ROUNDS
+# inject_and_run runs one trial alone; the benchmark's tracer wraps it here
+from .faults import REGISTER_WIDTHS, inject_and_run, reference_run  # noqa: F401
+from .fd import SCHEMES, _f_column_parities, detectability_predicate
+from .keccak import NUM_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
 MAX_WITNESSES = 16
@@ -64,6 +68,10 @@ STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 # Monte Carlo trials per chunk; fixed so that the sampled patterns never
 # depend on the worker count
 _CHUNK_MC = 1 << 16
+
+# engine-level trials per batch; fixed so that memory stays bounded for any
+# trial count
+_CHUNK_FULLSIM = 1 << 10
 
 # largest k over the state: a sweep's heads and entries are at most pairs,
 # and _sample_distinct redraws a whole row on any repeat, so past k = 64 a
@@ -352,6 +360,101 @@ def _mc_chunk(args):
 
 
 # ----------------------------------------------------------------------
+# engine-level trials as numpy rows
+#
+# A batch keeps each engine register as a (lanes, N) uint64 array, one
+# column per trial, in the layout of its plain-int value: register bit b
+# is bit b % 64 of lane b // 64.  So the state is 25 lanes (x + 5*y), C'
+# the five column-sum lanes, and F' and C'_F one lane each.
+
+_NEXT = np.array([1, 2, 3, 4, 0])          # x + 1
+_PREV = np.array([4, 0, 1, 2, 3])          # x - 1
+_NEXT2 = np.array([2, 3, 4, 0, 1])         # x + 2
+_LANE_BITS = np.arange(25, dtype=np.uint64)[:, None]
+_ROUND_CONSTANTS = np.array(ROUND_CONSTANTS, dtype=np.uint64)
+
+
+def _rho_pi_gather():
+    """Source lane and rotation of every output lane of rho-pi, which moves
+    lane (x, y) to (y, 2x + 3y)."""
+    src = np.empty(25, dtype=np.intp)
+    for x in range(5):
+        for y in range(5):
+            src[y + 5 * ((2 * x + 3 * y) % 5)] = x + 5 * y
+    return src, np.array(RHO_OFFSETS, dtype=np.uint64)[src, None]
+
+
+_PI_SRC, _PI_ROT = _rho_pi_gather()
+
+
+def _rotl(v, n):
+    return v << n | v >> (64 - n) % 64
+
+
+def _round_rows(a, r: int):
+    """``keccak.round_step`` on every column of a (25, N) state batch."""
+    rows = a.reshape(5, 5, -1)                      # [y, x, trial]
+    c = np.bitwise_xor.reduce(rows, axis=0)         # theta's column sums
+    b = (rows ^ (c[_PREV] ^ _rotl(c[_NEXT], 1))).reshape(25, -1)[_PI_SRC]
+    b = _rotl(b, _PI_ROT).reshape(5, 5, -1)
+    b ^= ~b[:, _NEXT] & b[:, _NEXT2]
+    b[0, 0] ^= _ROUND_CONSTANTS[r]
+    return b.reshape(25, -1)
+
+
+def _sums(a, lanes: bool):
+    """The C plane (5, N) of a state batch and its F slice (1, N), the
+    latter zero unless ``lanes``."""
+    c = np.bitwise_xor.reduce(a.reshape(5, 5, -1), axis=0)
+    if not lanes:
+        return c, np.zeros((1, a.shape[1]), np.uint64)
+    parity = (np.bitwise_count(a) & 1).astype(np.uint64)
+    return c, np.bitwise_or.reduce(parity << _LANE_BITS, axis=0, keepdims=True)
+
+
+def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
+    """Run one faulted copy of a single-permutation hash per pattern.
+
+    Each row makes the register moves of ``Engine.run_permutation`` with
+    the detection unit attached: primed from the entry state of
+    ``reference``, then at each commit window the row's flips land if it
+    is the row's slot, the row is checked against the last prime, runs
+    ``unroll`` rounds and is primed again.  ``patterns`` holds (register,
+    bit) targets.  Returns each row's sticky error flag and its ungated
+    digest, an (N, digest length) uint8 array.
+    """
+    if len(reference.entries) != 1:
+        raise ValueError("batched trials need a hash of one permutation, "
+                         f"not {len(reference.entries)}")
+    n, lanes = len(patterns), scheme == "z-sheet"
+    flips = {reg: np.zeros((-(-width // 64), n), np.uint64)
+             for reg, width in REGISTER_WIDTHS.items()}
+    for row, targets in enumerate(patterns):
+        for reg, bit in targets:
+            flips[reg][bit // 64, row] ^= 1 << bit % 64
+    at = np.asarray(slots)
+    a = np.repeat(np.array(reference.entries[0].lanes, np.uint64)[:, None], n, axis=1)
+    error = np.zeros(n, dtype=bool)
+    c_prime, f_prime = _sums(a, lanes)
+    cf_prime = _f_column_parities(f_prime)
+    for slot in range(NUM_ROUNDS // unroll):
+        rows = np.flatnonzero(at == slot)
+        for reg, value in zip(REGISTER_WIDTHS, (a, c_prime, f_prime, cf_prime)):
+            value[:, rows] ^= flips[reg][:, rows]
+        c, f = _sums(a, lanes)
+        error |= (c != c_prime).any(axis=0)
+        if lanes:
+            error |= ((f != f_prime) | (_f_column_parities(f_prime) != cf_prime))[0]
+        for r in range(slot * unroll, (slot + 1) * unroll):
+            a = _round_rows(a, r)
+        c_prime, f_prime = _sums(a, lanes)
+        cf_prime = _f_column_parities(f_prime)
+    out = len(reference.digest)
+    digests = np.ascontiguousarray(a[:-(-out // 8)].T).astype("<u8").view(np.uint8)
+    return error, digests[:, :out]
+
+
+# ----------------------------------------------------------------------
 # strategy drivers: each returns (total, detected, undetected, spurious,
 # witnesses)
 
@@ -385,41 +488,58 @@ def _scope_space(scope) -> list:
             for bit in range(width)]
 
 
-def _run_random_fullsim(spec: CampaignSpec):
-    """Engine-level campaign; needed once shadow registers are in scope.
+@lru_cache(maxsize=None)
+def _fullsim_reference(scheme: str, unroll: int):
+    return reference_run(_FULLSIM_MODE, _FULLSIM_MESSAGE, scheme, unroll)
 
-    One fault-free reference run of the fixed message, checker attached,
-    is shared by every trial: it gives the fault-free digest and the
-    registers at each commit window, and each trial resumes at its drawn
-    window instead of replaying the hash.  Trials run in order in this
-    process.
-    """
+
+def _fullsim_batches(spec: CampaignSpec):
+    """Draw an engine-level campaign's trials and run them in batches of
+    ``_CHUNK_FULLSIM``.  Yields (patterns, slots, flags, digests) per
+    batch: each trial's (register, bit) targets in ``FaultPattern`` order,
+    its commit slot in the fixed hash's one permutation, its error flag
+    and its ungated digest."""
     space = _scope_space(spec.scope)
     rng = np.random.default_rng([spec.seed, len(space)])
     slots = NUM_ROUNDS // spec.unroll
-    reference = reference_run(_FULLSIM_MODE, _FULLSIM_MESSAGE, spec.scheme, spec.unroll)
-    counts = {"detected": 0, "silent-corruption": 0, "benign": 0, "spurious-error": 0}
+    reference = _fullsim_reference(spec.scheme, spec.unroll)
+    for lo in range(0, spec.trials, _CHUNK_FULLSIM):
+        draws = [(rng.choice(len(space), size=spec.k, replace=False), int(rng.integers(slots)))
+                 for _ in range(min(_CHUNK_FULLSIM, spec.trials - lo))]
+        patterns = [tuple(sorted(space[i] for i in picks)) for picks, _ in draws]
+        at = [slot for _, slot in draws]
+        yield (patterns, at,
+               *_run_batch(reference, spec.scheme, spec.unroll, patterns, at))
+
+
+def _run_random_fullsim(spec: CampaignSpec):
+    """Engine-level campaign; needed once shadow registers are in scope.
+
+    Every trial hashes the same fixed message, so one fault-free reference
+    run per (scheme, unroll) gives the fault-free digest and the entry
+    state all trials start from.
+    """
+    golden = np.frombuffer(_fullsim_reference(spec.scheme, spec.unroll).digest, np.uint8)
+    detected = undetected = spurious = 0
     witnesses = []
-    for _ in range(spec.trials):
-        picks = rng.choice(len(space), size=spec.k, replace=False)
-        pattern = FaultPattern(tuple(FaultTarget(*space[i]) for i in sorted(picks)))
-        schedule = InjectionSchedule(0, int(rng.integers(slots)))
-        res = inject_and_run(_FULLSIM_MODE, _FULLSIM_MESSAGE, pattern, schedule,
-                             scheme=spec.scheme, unroll=spec.unroll, reference=reference)
-        counts[res.outcome] += 1
-        if res.outcome == "silent-corruption" and len(witnesses) < MAX_WITNESSES:
-            witnesses.append(tuple((t.register, t.bit) for t in pattern.targets))
-    return (spec.trials, counts["detected"], counts["silent-corruption"],
-            counts["spurious-error"], witnesses)
+    for patterns, _, flags, digests in _fullsim_batches(spec):
+        corrupted = (digests != golden).any(axis=1)
+        detected += int((flags & corrupted).sum())
+        spurious += int((flags & ~corrupted).sum())
+        silent = np.flatnonzero(~flags & corrupted)
+        undetected += len(silent)
+        witnesses += [patterns[i] for i in silent[:MAX_WITNESSES - len(witnesses)]]
+    return spec.trials, detected, undetected, spurious, witnesses
 
 
 def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignReport:
     """Run one campaign to completion and report the tallies.
 
-    Shadow-register scopes run every trial through the engine, resumed
-    from one fault-free run of a fixed reference message; state-only
-    campaigns evaluate the parity arithmetic directly.  Exhaustive rates are exact (the
-    interval is the rate itself); sampled rates carry a Wilson interval.
+    Shadow-register scopes run every trial through the engine's register
+    moves, as batched rows of one hash of a fixed message; state-only
+    campaigns evaluate the parity arithmetic directly.  Exhaustive rates
+    are exact (the interval is the rate itself); sampled rates carry a
+    Wilson interval.
     """
     w = worker_count(workers)
     start = time.perf_counter()

@@ -26,9 +26,7 @@ group's first round the column sums (and, under z-sheet, the lane sums)
 of the state read back from the register are checked against the last
 prime, so each commit window is covered.  The sums are computed only at
 these check rounds.  During absorb/squeeze shifting the shadows go stale
-and are invalidated.  A permutation can also be entered at a later commit
-window, from the state a fault-free run committed there; the fault
-campaigns resume their trials that way.
+and are invalidated.
 """
 
 from __future__ import annotations
@@ -224,38 +222,24 @@ class Engine:
     # ------------------------------------------------------------------
     # permutation
 
-    def run_permutation(self, start_slot: int = 0, state: StateArray | None = None) -> None:
+    def run_permutation(self) -> None:
         """Run the 24 rounds, committing every ``unroll`` rounds.
 
         Detection schedule: prime at entry, check at each group's first
         round against the last prime, re-prime at each commit.  The
         shadows are invalidated on exit because the shift phases that
         follow change the state without theta taps to compare against.
-
-        With ``state``, the permutation resumes at commit window
-        ``start_slot`` from the state a fault-free run committed there,
-        and the detection unit is primed from it as that commit primed
-        it; the shift register's contents are not read.  ``cycles``,
-        ``permutation_index``, ``phase`` and ``squeezed`` must already
-        hold their values at that window.
         """
         if self.ratecount != SHIFT_RATE_BYTES:
             raise RuntimeError("permutation requires a completed 168-byte turn")
-        groups = NUM_ROUNDS // self.unroll
-        if state is None:
-            if start_slot:
-                raise ValueError("resuming at a later commit slot needs its state")
-            state = StateArray.from_bytes(bytes(self._state))
-        elif not 0 <= start_slot < groups:
-            raise ValueError(f"commit slot {start_slot} out of range ({groups} slots)")
         outer_phase = self.phase
         self.phase = "permuting"
-        sa = state
+        sa = StateArray.from_bytes(bytes(self._state))
         fd = self.fd
         if fd is not None:
             fd.prime(sa)
             lanes = fd.scheme == "z-sheet"
-        for slot in range(start_slot, groups):
+        for slot in range(NUM_ROUNDS // self.unroll):
             if self.hook is not None:
                 sa = self.hook(self, slot, sa)
             if fd is not None:

@@ -18,23 +18,20 @@ Outcomes of an injected run, judged against the fault-free digest:
 * ``benign``            no error, digest unaffected
 
 Faults reach the engine only through its commit-window hook, and
-``flip_hook`` builds the one that flips a pattern.  A lone
-``inject_and_run`` given the fault-free digest runs the hash once from the
-start with it.  Otherwise a trial starts from a ``ReferenceRun``: one
-fault-free run with the detection unit attached that keeps the engine's
-registers at every commit window, through a hook of its own, and ends with
-the error flag down.  The trial restores the registers of its window,
-primes the checker from the state committed there, injects, and runs every
-remaining check, round, permutation and squeeze through the engine, so a
-resumed trial is checked exactly as a run from the start would be.  A
-campaign shares one reference run among all its trials.
+``flip_hook`` builds the one that flips a pattern.  ``inject_and_run``
+runs one hash once from the start with that hook; given no fault-free
+digest, it first takes the digest of a ``reference_run``.  A
+``ReferenceRun`` is one fault-free run with the detection unit attached,
+which must end with the error flag down; it keeps the digest and the
+entry state of each permutation.  The engine-level campaigns start their
+batched trials from it (see ``campaigns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import SHIFT_RATE_BYTES, Engine
+from .engine import Engine
 from .fd import SHADOW_WIDTHS
 from .keccak import NUM_ROUNDS, StateArray
 
@@ -81,10 +78,6 @@ class FaultPattern:
     def state_bits(self) -> tuple[int, ...]:
         return tuple(t.bit for t in self.targets if t.register == "state")
 
-    @property
-    def state_only(self) -> bool:
-        return all(t.register == "state" for t in self.targets)
-
 
 @dataclass(frozen=True)
 class InjectionSchedule:
@@ -125,26 +118,12 @@ class InjectionResult:
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """The engine's registers at one commit window of a fault-free run."""
-
-    state: StateArray       # committed at the window (the entry state at slot 0)
-    cycles: int
-    squeezed: bytes         # digest bytes shifted out before the window
-
-
-@dataclass(frozen=True)
 class ReferenceRun:
-    """A fault-free run with the detection unit attached, and the
-    checkpoints of its commit windows, keyed (permutation index, slot)."""
+    """A fault-free run with the detection unit attached: the entry state
+    of each permutation, in run order, and the digest."""
 
-    mode: str
-    message: bytes
-    scheme: str
-    unroll: int
-    out_len: int
+    entries: tuple[StateArray, ...] = field(repr=False)
     digest: bytes
-    checkpoints: dict = field(repr=False)
 
 
 def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
@@ -168,15 +147,15 @@ def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
 
 def reference_run(mode: str, message: bytes, scheme: str = "z-sheet", unroll: int = 1,
                   out_len: int | None = None) -> ReferenceRun:
-    """The fault-free run of one hash, checkpointed at every commit window,
-    for many ``inject_and_run`` trials to share."""
+    """The fault-free run of one hash, with the entry state of each
+    permutation, for batched trials to start from."""
     eng = Engine(mode, fd=scheme, unroll=unroll)
     n = eng.resolve_out_len(out_len)
-    checkpoints = {}
+    entries = []
 
     def keep(eng: Engine, slot: int, state: StateArray) -> StateArray:
-        checkpoints[eng.permutation_index, slot] = Checkpoint(
-            state, eng.cycles, bytes(eng.squeezed))
+        if slot == 0:
+            entries.append(state)
         return state
 
     eng.hook = keep
@@ -185,57 +164,28 @@ def reference_run(mode: str, message: bytes, scheme: str = "z-sheet", unroll: in
     digest = eng.squeeze(n)
     if eng.fd.error:
         raise RuntimeError("the fault-free reference run raised the error flag")
-    return ReferenceRun(eng.mode.name, bytes(message), scheme, unroll, n, digest,
-                        checkpoints)
+    return ReferenceRun(tuple(entries), digest)
 
 
 def inject_and_run(mode: str, message: bytes, pattern: FaultPattern,
                    schedule: InjectionSchedule, scheme: str = "z-sheet",
                    unroll: int = 1, out_len: int | None = None,
-                   golden: bytes | None = None,
-                   reference: ReferenceRun | None = None) -> InjectionResult:
-    """Run one hash with the pattern injected at the scheduled window.
-
-    Given ``golden``, the fault-free digest, and no ``reference``, the hash
-    runs once from the start.  Otherwise the run resumes at the window from
-    ``reference``, a ``reference_run`` of the same hash, or else from a
-    reference run made for this call, and ``golden`` defaults to its digest.
-    """
+                   golden: bytes | None = None) -> InjectionResult:
+    """Run one hash from the start with the pattern injected at the
+    scheduled window, and judge it against ``golden``, the fault-free
+    digest (by default that of a ``reference_run`` of the same hash)."""
     schedule.validate_for_unroll(unroll)
     eng = Engine(mode, fd=scheme, unroll=unroll)
     n = eng.resolve_out_len(out_len)
+    if golden is None:
+        golden = reference_run(mode, message, scheme, unroll, n).digest
     eng.hook = flip_hook(pattern, schedule)
-    perm = schedule.permutation_index
-    unfired = f"schedule never fired: the run has no permutation {perm}"
-    if reference is None and golden is not None:
-        eng.absorb(message)
-        eng.finish()
-        emitted = eng.squeeze(n)
-        if perm >= eng.permutation_index:
-            raise ValueError(unfired)
-    else:
-        if reference is None:
-            reference = reference_run(mode, message, scheme, unroll, n)
-        elif (reference.mode, reference.message, reference.scheme, reference.unroll,
-              reference.out_len) != (eng.mode.name, message, scheme, unroll, n):
-            raise ValueError("the reference run is of a different hash")
-        if golden is None:
-            golden = reference.digest
-        cp = reference.checkpoints.get((perm, schedule.commit_slot))
-        if cp is None:
-            raise ValueError(unfired)
-        # load the registers of the window; the permutations absorb runs
-        # come first, and the engine squeezes after the pad block's
-        eng.phase = "absorbing" if perm < len(message) // eng.mode.rate_bytes else "squeezing"
-        eng.cycles = cp.cycles
-        eng.permutation_index = perm
-        eng.ratecount = SHIFT_RATE_BYTES
-        eng.squeezed[:] = cp.squeezed
-        eng.run_permutation(schedule.commit_slot, cp.state)
-        if eng.phase == "absorbing":
-            eng.absorb(message[(perm + 1) * eng.mode.rate_bytes:])
-            eng.finish()
-        emitted = cp.squeezed + eng.squeeze(n - len(cp.squeezed))
+    eng.absorb(message)
+    eng.finish()
+    emitted = eng.squeeze(n)
+    if schedule.permutation_index >= eng.permutation_index:
+        raise ValueError("schedule never fired: the run has no permutation "
+                         f"{schedule.permutation_index}")
     digest = bytes(eng.squeezed)
 
     error = eng.fd.error

@@ -22,8 +22,10 @@ under z-sheet.
 
 The error flag is sticky until the engine is reset, and it is the
 engine's output gate: every digest byte squeezed after the flag goes up
-is emitted as zero.  Faults landing in the shadow registers themselves can
-only raise false alarms, never hide a corrupted state.
+is emitted as zero.  Faults landing in the shadow registers alone can
+only raise false alarms, never hide a corrupted state; flips in both the
+state and the shadows of one window can cancel in the compare (see
+``detectability_predicate``).
 """
 
 from __future__ import annotations
@@ -113,29 +115,45 @@ class FdRegisters:
 
 
 def detectability_predicate(pattern, scheme: str) -> bool:
-    """Closed-form verdict for a set of state-register bit flips.
+    """Closed-form verdict for a set of bit flips in one commit window.
 
-    ``pattern`` is an iterable of linear state bit indices, or a fault
-    pattern restricted to the state register.  True means the flip set is
-    caught at the next parity check.  A set escapes the c-plane compare
-    iff every column (x, z) receives an even number of flips; z-sheet
-    additionally requires an even count in every lane (x, y).  The flips
-    are folded into syndromes in the checker's own layout: state bit i
-    toggles C-plane bit i % 320 and F-slice bit i // 64.
+    ``pattern`` is a ``FaultPattern`` over any registers, or an iterable
+    of linear state bit indices.  True means the flips raise the error
+    flag at the next check.  Each flip toggles bits of the check's
+    syndrome, in the checker's own layout:
+
+    * state bit i: C-plane bit i % 320 and F-slice bit i // 64
+    * ``c_prime`` bit u: C-plane bit u
+    * ``f_prime`` bit l: F-slice bit l and guard bit l % 5
+    * ``cf_prime`` bit x: guard bit x
+
+    The flag rises iff the XOR of the toggles is non-zero; under c-plane
+    only the C-plane part counts.  A state-only set thus escapes c-plane
+    iff every column (x, z) receives an even number of flips, and z-sheet
+    iff every lane (x, y) does too.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if hasattr(pattern, "state_bits"):
-        if not pattern.state_only:
-            raise ValueError("the predicate covers state-register flips only")
-        pattern = pattern.state_bits
-    bits = list(pattern)
-    if len(set(bits)) != len(bits):
-        raise ValueError("flip positions must be distinct")
-    columns = lanes = 0
-    for i in bits:
-        if not 0 <= i < 1600:
-            raise ValueError(f"bit index {i} out of range")
-        columns ^= 1 << int(i) % 320
-        lanes ^= 1 << int(i) // 64
-    return bool(columns or scheme == "z-sheet" and lanes)
+    if hasattr(pattern, "targets"):
+        targets = [(t.register, t.bit) for t in pattern.targets]
+    else:
+        bits = list(pattern)
+        if len(set(bits)) != len(bits):
+            raise ValueError("flip positions must be distinct")
+        for i in bits:
+            if not 0 <= i < 1600:
+                raise ValueError(f"bit index {i} out of range")
+        targets = [("state", int(i)) for i in bits]
+    columns = lanes = guard = 0
+    for register, i in targets:
+        if register == "state":
+            columns ^= 1 << i % 320
+            lanes ^= 1 << i // 64
+        elif register == "c_prime":
+            columns ^= 1 << i
+        elif register == "f_prime":
+            lanes ^= 1 << i
+            guard ^= 1 << i % 5
+        else:
+            guard ^= 1 << i
+    return bool(columns or scheme == "z-sheet" and (lanes or guard))

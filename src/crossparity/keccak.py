@@ -95,12 +95,6 @@ class StateArray:
     def linear_index(x: int, y: int, z: int) -> int:
         return 64 * (5 * y + x) + z
 
-    @staticmethod
-    def bit_coords(i: int) -> tuple[int, int, int]:
-        lane, z = divmod(i, 64)
-        y, x = divmod(lane, 5)
-        return x, y, z
-
     def bit(self, x: int, y: int, z: int) -> int:
         return (self.lanes[x + 5 * y] >> z) & 1
 

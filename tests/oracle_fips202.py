@@ -14,6 +14,13 @@ bit (x, y, z) has linear index 64*(5y+x) + z.
 MASK64 = (1 << 64) - 1
 
 
+def bit_coords(i):
+    """(x, y, z) of linear state bit i."""
+    lane, z = divmod(i, 64)
+    y, x = divmod(lane, 5)
+    return x, y, z
+
+
 def _rotl(lane, n):
     n %= 64
     return ((lane << n) | (lane >> (64 - n))) & MASK64

@@ -112,7 +112,7 @@ def test_criterion_3_z_sheet_headline():
     while cross_checked < 100_000:
         k = rng.choice((2, 3))
         bits = rng.sample(range(1600), k)
-        if len({StateArray.bit_coords(b)[0] for b in bits}) < 2:
+        if len({oracle.bit_coords(b)[0] for b in bits}) < 2:
             continue
         cross_checked += 1
         if not detectability_predicate(bits, "z-sheet"):
@@ -150,7 +150,7 @@ def test_criterion_4_c_plane_boundary():
     ok &= pairs.undetected == 3200 == 320 * math.comb(5, 2)
     ok &= undetected_census(2, "c-plane").count == 3200
     for witness in pairs.witnesses:
-        (x1, _, z1), (x2, _, z2) = [StateArray.bit_coords(b) for _, b in witness]
+        (x1, _, z1), (x2, _, z2) = [oracle.bit_coords(b) for _, b in witness]
         ok &= (x1, z1) == (x2, z2)
 
     # Sampled confirmation against the parity registers on a random

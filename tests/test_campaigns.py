@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossparity import campaigns
@@ -26,8 +27,10 @@ from crossparity.campaigns import (
     undetected_census,
     worker_count,
 )
-from crossparity.fd import detectability_predicate
-from crossparity.keccak import StateArray
+from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
+from crossparity.fd import SCHEMES, detectability_predicate
+from crossparity.keccak import MASK64, StateArray, column_sums, lane_sums, round_step
+from oracle_fips202 import bit_coords
 
 idx = StateArray.linear_index
 
@@ -147,7 +150,7 @@ def test_sheet_pairs_c_plane_misses_column_pairs():
         bits = [bit for _, bit in witness]
         assert all(reg == "state" for reg, _ in witness)
         assert detectability_predicate(bits, "c-plane") is False
-        xs = {StateArray.bit_coords(b)[0] for b in bits}
+        xs = {bit_coords(b)[0] for b in bits}
         assert xs == {1}  # stays inside the requested sheet
 
 
@@ -386,6 +389,104 @@ def test_mixed_scope_campaign_runs_the_engine():
     assert rep.undetected == 0
     assert rep.spurious > 0  # some draws land in the shadows
     assert rep.scope == ("state", "c_prime", "f_prime", "cf_prime")
+
+
+# ----------------------------------------------------------------------
+# engine-level trials as numpy rows
+
+def test_numpy_round_is_round_step():
+    rng = random.Random(31)
+    states = [StateArray.zeros(), StateArray((MASK64,) * 25),
+              StateArray.zeros().with_flips([rng.randrange(1600)])]
+    states += [StateArray(tuple(rng.getrandbits(64) for _ in range(25))) for _ in range(8)]
+    batch = np.array([s.lanes for s in states], dtype=np.uint64).T
+    c, f = campaigns._sums(batch, True)
+    assert [sum(int(v) << 64 * x for x, v in enumerate(col)) for col in c.T] == \
+        [column_sums(s) for s in states]
+    assert f[0].tolist() == [lane_sums(s) for s in states]
+    for r in range(24):
+        got = campaigns._round_rows(batch, r)
+        assert [tuple(col) for col in got.T.tolist()] == \
+            [round_step(s, r).lanes for s in states], r
+
+
+def _outcome(flag, corrupted):
+    if flag:
+        return "detected" if corrupted else "spurious-error"
+    return "silent-corruption" if corrupted else "benign"
+
+
+def _pattern(targets):
+    return FaultPattern(tuple(FaultTarget(reg, bit) for reg, bit in targets))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("unroll", [1, 4, 24])
+def test_batched_campaigns_match_scalar_runs(monkeypatch, scheme, unroll):
+    # Batches of 8, so each 20-trial campaign spans three.  Every batched
+    # flag is the predicate's, a seeded subset of trials is re-run alone
+    # from the start, and the report is tallied from the same trials.
+    monkeypatch.setattr(campaigns, "_CHUNK_FULLSIM", 8)
+    rng = random.Random(f"gate/{scheme}/{unroll}")
+    reference = campaigns._fullsim_reference(scheme, unroll)
+    golden = reference.digest
+
+    def scalar(pattern, slot):
+        res = inject_and_run(campaigns._FULLSIM_MODE, campaigns._FULLSIM_MESSAGE,
+                             pattern, InjectionSchedule(0, slot), scheme=scheme,
+                             unroll=unroll, golden=golden)
+        return res.outcome, res.error_raised, res.digest
+
+    scopes = [("state", "c_prime")]
+    if scheme == "z-sheet":
+        scopes.append(("state", "c_prime", "f_prime", "cf_prime"))
+    outcomes = set()
+    for k in (1, 2, 3, 4):
+        scope = scopes[k % len(scopes)]
+        spec = CampaignSpec(scheme=scheme, k=k, strategy="random", trials=20, seed=k,
+                            unroll=unroll, scope=scope)
+        batches = list(campaigns._fullsim_batches(spec))
+        assert [len(b[0]) for b in batches] == [8, 8, 4]
+        trials = [(targets, slot, bool(flag), bytes(digest))
+                  for batch in batches for targets, slot, flag, digest in zip(*batch)]
+        for targets, _, flag, _ in trials:
+            assert flag == detectability_predicate(_pattern(targets), scheme), targets
+        for targets, slot, flag, digest in rng.sample(trials, 4):
+            want = (_outcome(flag, digest != golden), flag, digest)
+            assert scalar(_pattern(targets), slot) == want, (targets, slot)
+        rep = record_without_timing(run_campaign(spec))
+        got = [_outcome(flag, digest != golden) for _, _, flag, digest in trials]
+        outcomes.update(got)
+        assert (rep["detected"], rep["undetected"], rep["spurious"]) == \
+            (got.count("detected"), got.count("silent-corruption"), got.count("spurious-error"))
+        assert rep["witnesses"] == [[list(t) for t in targets] for (targets, *_), o
+                                    in zip(trials, got) if o == "silent-corruption"]
+
+    # planted at every slot: two escapes, a sheet rectangle and a state
+    # flip with the shadow flips that cancel its syndrome, and under
+    # z-sheet the latter without its cf_prime flip, which only the C'_F
+    # guard catches
+    slots = 24 // unroll
+    planted = []
+    for slot in range(slots):
+        x, (y1, y2), (z1, z2) = rng.randrange(5), rng.sample(range(5), 2), rng.sample(range(64), 2)
+        planted.append(([("state", idx(x, y, z)) for y in (y1, y2) for z in (z1, z2)], slot, False))
+        i = rng.randrange(1600)
+        cancel = [("state", i), ("c_prime", i % 320)]
+        if scheme == "z-sheet":
+            cancel += [("f_prime", i // 64), ("cf_prime", i // 64 % 5)]
+            planted.append((cancel[:-1], slot, True))
+        planted.append((cancel, slot, False))
+    flags, digests = campaigns._run_batch(reference, scheme, unroll,
+                                          [t for t, _, _ in planted],
+                                          [slot for _, slot, _ in planted])
+    for (targets, slot, caught), flag, digest in zip(planted, flags, digests):
+        want = (_outcome(flag, bytes(digest) != golden), flag, bytes(digest))
+        assert flag == caught == detectability_predicate(_pattern(targets), scheme)
+        if slot in (0, slots // 2, slots - 1):
+            assert scalar(_pattern(targets), slot) == want, (targets, slot)
+        outcomes.add(want[0])
+    assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
 
 
 def test_state_only_campaigns_report_zero_spurious():

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from crossparity.campaigns import _run_batch
 from crossparity.fd import SCHEMES, SHADOW_WIDTHS, FdRegisters, detectability_predicate
 from crossparity.faults import (
     OUTCOMES,
@@ -58,14 +59,12 @@ def test_pattern_sorted_and_distinct():
                          FaultTarget("state", 9))
     assert p.weight == 3
     assert p.state_bits == (3, 9)
-    assert not p.state_only
     with pytest.raises(ValueError):
         FaultPattern((FaultTarget("state", 1), FaultTarget("state", 1)))
 
 
 def test_pattern_from_state_bits():
     p = state_pattern(5, 2, 900)
-    assert p.state_only
     assert p.state_bits == (2, 5, 900)
 
 
@@ -260,8 +259,15 @@ def test_shadow_faults_across_multi_block_xof_runs(mode, scheme):
             assert res.emitted == golden[:open_bytes] + bytes(out_len - open_bytes)
 
 
-# ----------------------------------------------------------------------
-# trials resumed from a shared reference run
+# batched trials from a shared reference run
+
+def _batch(reference, scheme, unroll, patterns, slots):
+    """(error flag, ungated digest) of each batched row."""
+    flags, digests = _run_batch(reference, scheme, unroll,
+                                [[(t.register, t.bit) for t in p.targets] for p in patterns],
+                                slots)
+    return [(bool(f), bytes(d)) for f, d in zip(flags, digests)]
+
 
 def _trial_patterns(rng, scheme):
     """k = 1, 2, 4 over the full scope, a weight-4 rectangle (which both
@@ -278,40 +284,26 @@ def _trial_patterns(rng, scheme):
 @pytest.mark.parametrize("scheme", ["c-plane", "z-sheet"])
 @pytest.mark.parametrize("unroll", [1, 4, 24])
 def test_shared_reference_matches_fresh_runs_trial_for_trial(scheme, unroll):
-    # Windows in absorb permutations, the finish permutation and SHAKE
-    # refresh permutations, at the first, middle and last slot.
-    rng = random.Random(f"resume/{scheme}/{unroll}")
-    slots = 24 // unroll
+    # Rows of one batch share a reference run; each must match a fresh
+    # run of its trial from the start, at the first, middle and last slot
+    # of a sha3-256 and a shake128 hash of one permutation each.
+    rng = random.Random(f"batch/{scheme}/{unroll}")
+    slots = sorted({0, 24 // unroll // 2, 24 // unroll - 1})
     patterns = _trial_patterns(rng, scheme)
-    trial = 0
+    trials = [(pattern, slot) for pattern in patterns for slot in slots]
     outcomes = set()
-    # (mode, message, out_len, permutations): sha3-256 absorbs two blocks
-    # and finishes; shake128 absorbs one, finishes and refreshes twice
-    sha3_msg, shake_msg = rng.randbytes(300), rng.randbytes(250)
-    for mode, msg, out_len, perms, want in (
-            ("sha3-256", sha3_msg, None, 3, hashlib.sha3_256(sha3_msg).digest()),
-            ("shake128", shake_msg, 2 * 168 + 5, 4,
-             hashlib.shake_128(shake_msg).digest(2 * 168 + 5))):
+    sha3_msg, shake_msg = rng.randbytes(100), rng.randbytes(150)
+    for mode, msg, out_len, want in (
+            ("sha3-256", sha3_msg, None, hashlib.sha3_256(sha3_msg).digest()),
+            ("shake128", shake_msg, 168, hashlib.shake_128(shake_msg).digest(168))):
         ref = reference_run(mode, msg, scheme=scheme, unroll=unroll, out_len=out_len)
-        assert ref.digest == want
-        # every window is kept, at the cycle count of the shift schedule
-        assert {(p, s): cp.cycles for (p, s), cp in ref.checkpoints.items()} == \
-            {(p, s): 168 * (p + 1) + slots * p + s for p in range(perms) for s in range(slots)}
-        for perm in range(perms):
-            for slot in sorted({0, slots // 2, slots - 1}):
-                pattern = patterns[trial % len(patterns)]
-                trial += 1
-                schedule = InjectionSchedule(perm, slot)
-                shared = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
-                                        unroll=unroll, out_len=out_len, reference=ref)
-                fresh = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
-                                       unroll=unroll, out_len=out_len)
-                stopped = inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
-                                         unroll=unroll, out_len=out_len, golden=ref.digest)
-                for res in (fresh, stopped):
-                    assert (res.outcome, res.error_raised, res.digest, res.emitted) == \
-                        (shared.outcome, shared.error_raised, shared.digest, shared.emitted)
-                outcomes.add(shared.outcome)
+        assert ref.digest == want and len(ref.entries) == 1
+        rows = _batch(ref, scheme, unroll, *zip(*trials))
+        for (pattern, slot), row in zip(trials, rows):
+            fresh = inject_and_run(mode, msg, pattern, InjectionSchedule(0, slot),
+                                   scheme=scheme, unroll=unroll, out_len=out_len)
+            assert row == (fresh.error_raised, fresh.digest), (mode, pattern, slot)
+            outcomes.add(fresh.outcome)
     assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
 
 
@@ -329,19 +321,14 @@ def test_reference_run_must_end_with_the_flag_down(monkeypatch):
         inject_and_run("sha3-256", MSG, state_pattern(1), InjectionSchedule(0, 3))
 
 
-def test_shared_reference_must_be_of_the_same_hash():
-    ref = reference_run("sha3-256", MSG, scheme="z-sheet", unroll=4)
-    pattern, schedule = state_pattern(1), InjectionSchedule(0, 2)
-    for kwargs in (dict(message=MSG + b"!"), dict(scheme="c-plane"), dict(unroll=2),
-                   dict(mode="sha3-224")):
-        args = dict(mode="sha3-256", message=MSG, scheme="z-sheet", unroll=4) | kwargs
-        with pytest.raises(ValueError, match="different hash"):
-            inject_and_run(pattern=pattern, schedule=schedule, reference=ref, **args)
-    with pytest.raises(ValueError, match="never fired"):
-        inject_and_run("sha3-256", MSG, pattern, InjectionSchedule(1, 0), unroll=4,
-                       reference=ref)
-    res = inject_and_run("SHA3-256", MSG, pattern, schedule, unroll=4, reference=ref)
-    assert res.golden == ref.digest == hashlib.sha3_256(MSG).digest()
+def test_batch_refuses_a_multi_permutation_reference():
+    # a full sha3-256 block and the pad block: two permutation entries
+    msg = bytes(range(136))
+    ref = reference_run("sha3-256", msg)
+    assert ref.digest == hashlib.sha3_256(msg).digest()
+    assert len(ref.entries) == 2 and ref.entries[0] != ref.entries[1]
+    with pytest.raises(ValueError, match="one permutation, not 2"):
+        _run_batch(ref, "z-sheet", 1, [[("state", 1)]], [0])
 
 
 # ----------------------------------------------------------------------
@@ -353,15 +340,24 @@ ORACLE_RATE = {"sha3-224": 144, "sha3-256": 136, "sha3-384": 104, "sha3-512": 72
 
 def _oracle_patterns(rng, scheme):
     """State-only patterns (random weight 1-4, a sheet rectangle that both
-    schemes miss, a column pair that only z-sheet sees) and a shadow-only
-    one (a false alarm)."""
+    schemes miss, a column pair that only z-sheet sees), a shadow-only one
+    (a false alarm) and two mixed ones: random state and shadow flips, and
+    a state flip with the shadow flips that cancel its syndrome (an
+    escape)."""
     x, (y1, y2), (z1, z2) = rng.randrange(5), rng.sample(range(5), 2), rng.sample(range(64), 2)
     shadows = [FaultTarget(reg, b) for reg, width in SHADOW_WIDTHS.items()
                if scheme == "z-sheet" or reg == "c_prime" for b in range(width)]
+    i = rng.randrange(1600)
+    cancel = [FaultTarget("state", i), FaultTarget("c_prime", i % 320)]
+    if scheme == "z-sheet":
+        cancel += [FaultTarget("f_prime", i // 64), FaultTarget("cf_prime", i // 64 % 5)]
+    mixed = [FaultTarget("state", b) for b in rng.sample(range(1600), rng.randint(1, 2))]
     return [state_pattern(*rng.sample(range(1600), rng.randint(1, 4))),
             state_pattern(*(idx(x, y, z) for y in (y1, y2) for z in (z1, z2))),
             state_pattern(idx(x, y1, z1), idx(x, y2, z1)),
-            FaultPattern(tuple(rng.sample(shadows, rng.randint(1, 2))))]
+            FaultPattern(tuple(rng.sample(shadows, rng.randint(1, 2)))),
+            FaultPattern(tuple(mixed + rng.sample(shadows, rng.randint(1, 2)))),
+            FaultPattern(tuple(cancel))]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -369,38 +365,44 @@ def _oracle_patterns(rng, scheme):
 def test_injected_runs_match_the_oracle(scheme, unroll):
     # Every mode absorbs a full block and then the pad block, and the SHAKEs
     # squeeze two refresh blocks more.  Each permutation of each run takes
-    # one fault, at the first, middle or last slot in turn, on the path
-    # that runs from the start (golden=) and on the resumed one
-    # (reference=).  The oracle flips the state bits before the round the
-    # slot leads into; shadow bits leave its digest fault-free.
+    # one fault, at the first, middle or last slot in turn.  Then a batch
+    # of one-permutation hashes of each mode takes every pattern.  The
+    # oracle flips the state bits before the round the slot leads into;
+    # shadow bits leave its digest fault-free.  The flag is the total
+    # predicate's.
     rng = random.Random(f"oracle/{scheme}/{unroll}")
-    slots = 24 // unroll
+    slots = (0, 24 // unroll // 2, 24 // unroll - 1)
     trial = 0
     outcomes = set()
-    for mode, rate in ORACLE_RATE.items():
+    for m, (mode, rate) in enumerate(ORACLE_RATE.items()):
         msg = rng.randbytes(rng.randrange(rate, 2 * rate))
         out_len = 2 * rate + 5 if mode.startswith("shake") else None
         golden = oracle_digest(mode, msg, out_len)
         n = len(golden)
-        ref = reference_run(mode, msg, scheme=scheme, unroll=unroll, out_len=out_len)
-        assert ref.digest == golden
         absorbs = len(msg) // rate + 1
+        patterns = _oracle_patterns(rng, scheme)
         for perm in range(absorbs + (n - 1) // rate):
-            slot = (0, slots // 2, slots - 1)[trial % 3]
-            pattern = _oracle_patterns(rng, scheme)[trial % 4]
+            slot = slots[(trial + trial // len(patterns)) % 3]
+            pattern = patterns[trial % len(patterns)]
             trial += 1
-            bits = pattern.state_bits
-            flag = detectability_predicate(bits, scheme) if pattern.state_only else True
-            digest = oracle_digest(mode, msg, out_len, (perm, slot * unroll, bits))
+            flag = detectability_predicate(pattern, scheme)
+            digest = oracle_digest(mode, msg, out_len, (perm, slot * unroll, pattern.state_bits))
             open_bytes = min(n, max(0, perm - absorbs + 1) * rate) if flag else n
             emitted = digest[:open_bytes] + bytes(n - open_bytes)
-            schedule = InjectionSchedule(perm, slot)
-            for res in (
-                    inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
-                                   unroll=unroll, out_len=out_len, golden=golden),
-                    inject_and_run(mode, msg, pattern, schedule, scheme=scheme,
-                                   unroll=unroll, out_len=out_len, reference=ref)):
-                assert (res.error_raised, res.digest, res.emitted, res.golden) == \
-                    (flag, digest, emitted, golden), (mode, perm, slot, pattern)
-                outcomes.add(res.outcome)
+            res = inject_and_run(mode, msg, pattern, InjectionSchedule(perm, slot),
+                                 scheme=scheme, unroll=unroll, out_len=out_len, golden=golden)
+            assert (res.error_raised, res.digest, res.emitted, res.golden) == \
+                (flag, digest, emitted, golden), (mode, perm, slot, pattern)
+            outcomes.add(res.outcome)
+
+        msg = rng.randbytes(rng.randrange(rate))
+        out_len = rng.randint(1, rate) if mode.startswith("shake") else None
+        at = [slots[(j + m) % 3] for j in range(len(patterns))]
+        rows = _batch(reference_run(mode, msg, scheme, unroll, out_len), scheme, unroll,
+                      patterns, at)
+        for pattern, slot, row in zip(patterns, at, rows):
+            assert row == (detectability_predicate(pattern, scheme),
+                           oracle_digest(mode, msg, out_len, (0, slot * unroll,
+                                                              pattern.state_bits))), \
+                (mode, slot, pattern)
     assert {"detected", "silent-corruption", "spurious-error"} <= outcomes

@@ -302,17 +302,61 @@ def test_predicate_validation():
         detectability_predicate([0], "parity")
 
 
-@given(st.sets(st.integers(0, 1599), min_size=1, max_size=6),
-       st.sampled_from(SCHEMES), st.integers(0, 2**30))
-@settings(max_examples=60, deadline=None)
-def test_predicate_agrees_with_register_check(bits, scheme, seed):
-    # Dual route: the counting argument and the parity arithmetic on a
-    # random committed state must reach the same verdict.
+_SHADOW_TARGETS = [FaultTarget(reg, bit) for reg, width in SHADOW_WIDTHS.items()
+                   for bit in range(width)]
+
+
+@given(st.sets(st.integers(0, 1599), max_size=6),
+       st.sets(st.sampled_from(_SHADOW_TARGETS), max_size=4),
+       st.sampled_from(SCHEMES), st.integers(0, 2**30), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_predicate_agrees_with_register_check(bits, shadows, scheme, seed, cancel):
+    # Dual route: the syndrome table and the parity arithmetic on a random
+    # committed state must reach the same verdict, for flips in the state
+    # and in the shadows.  ``cancel`` adds, for one state flip, the shadow
+    # flips that undo its syndrome, so mixed patterns escape too.
+    shadows = set(shadows)
+    if cancel and bits:
+        i = min(bits)
+        shadows ^= {FaultTarget("c_prime", i % 320), FaultTarget("f_prime", i // 64),
+                    FaultTarget("cf_prime", i // 64 % 5)}
+    if scheme == "c-plane":
+        shadows = {t for t in shadows if t.register == "c_prime"}
+    pattern = FaultPattern(tuple(shadows | {FaultTarget("state", b) for b in bits}))
     sa = random_state(seed)
     fd = FdRegisters(scheme)
     fd.prime(sa)
+    for t in shadows:
+        fd.flip(t.register, t.bit)
     got = fd.check(*taps(sa.with_flips(bits)))
-    assert got == detectability_predicate(bits, scheme)
+    assert got == detectability_predicate(pattern, scheme)
+    if not shadows:
+        assert got == detectability_predicate(bits, scheme)
+
+
+def test_predicate_syndrome_table():
+    # one row per register; c-plane counts only the C-plane part
+    def one(reg, bit):
+        return FaultPattern((FaultTarget(reg, bit),))
+
+    for scheme in SCHEMES:
+        assert all(detectability_predicate(one("c_prime", u), scheme) for u in range(320))
+        assert not detectability_predicate(FaultPattern(()), scheme)
+    for reg, width in (("f_prime", 25), ("cf_prime", 5)):
+        for bit in range(width):
+            assert detectability_predicate(one(reg, bit), "z-sheet")
+            assert not detectability_predicate(one(reg, bit), "c-plane")
+    # an f_prime flip and the guard bit it toggles cancel in the guard,
+    # but not in the lane compare
+    both = FaultPattern((FaultTarget("f_prime", 7), FaultTarget("cf_prime", 2)))
+    assert detectability_predicate(both, "z-sheet")
+    # a state flip and its three shadow partners cancel everywhere
+    i = idx(3, 2, 17)
+    assert not detectability_predicate(FaultPattern((
+        FaultTarget("state", i), FaultTarget("c_prime", 64 * 3 + 17),
+        FaultTarget("f_prime", 3 + 5 * 2), FaultTarget("cf_prime", 3))), "z-sheet")
+    assert not detectability_predicate(FaultPattern((
+        FaultTarget("state", i), FaultTarget("c_prime", 64 * 3 + 17))), "c-plane")
 
 
 # two lanes and two columns in each of two sheets, where escaping sets are

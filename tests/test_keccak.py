@@ -93,7 +93,7 @@ def test_linear_index_is_a_bijection():
             for z in range(64):
                 i = StateArray.linear_index(x, y, z)
                 assert i == 64 * (5 * y + x) + z
-                assert StateArray.bit_coords(i) == (x, y, z)
+                assert oracle.bit_coords(i) == (x, y, z)
                 seen.add(i)
     assert seen == set(range(1600))
 
