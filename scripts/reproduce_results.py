@@ -101,7 +101,8 @@ def main(argv=None):
         records.append(rep.to_record())
         benign = rep.total - rep.detected - rep.undetected - rep.spurious
         print(f"  k={k}: detected {rep.detected}, false alarms {rep.spurious}, "
-              f"silent corruption {rep.undetected}, benign {benign}")
+              f"silent corruption {rep.undetected}, benign {benign}"
+              f"   [{rep.total / rep.wall_time:,.0f} trials/s]")
     print("  (a flip in C', F' or C'_F raises a false alarm; it never hides a"
           " corrupted state)")
 

@@ -24,12 +24,14 @@ pair), combined under z-sheet with the id of its lane mask.  A flip set
 escapes exactly when the keys of its two halves are equal, so one pass
 of binary searches in a sorted key table counts the escapes of every
 head of an exhaustive sweep at once.  Monte Carlo sorts each sampled row
-instead.  Campaigns whose scope includes shadow registers run each trial
-through the engine's register moves, since only the full run can tell a
-false alarm from real corruption.  Every trial hashes the same fixed
-message, one permutation long, and the trials run as numpy rows that
-start from the entry state of one shared fault-free run and prime, check
-and run rounds as ``Engine.run_permutation`` does (see ``_run_batch``).
+instead.  Campaigns whose scope includes shadow registers give each trial
+the outcome of an engine run, since only the digest can tell a false
+alarm from real corruption.  Every trial hashes the same fixed message,
+one permutation long.  Its flag is the syndrome predicate's, which is what
+the engine's checks compute, and only trials with state flips run the
+rounds, as numpy rows that start from the entry state of one shared
+fault-free run; a trial without them keeps that run's digest (see
+``_run_batch`` for why this is exact).
 
 Each strategy returns its tallies and ``run_campaign`` builds the one
 report from them.  Exhaustive sweeps run in one pass in the calling
@@ -57,7 +59,7 @@ import numpy as np
 from .engine import UNROLL_FACTORS
 # inject_and_run runs one trial alone; the benchmark's tracer wraps it here
 from .faults import REGISTER_WIDTHS, inject_and_run, reference_run  # noqa: F401
-from .fd import SCHEMES, _f_column_parities, detectability_predicate
+from .fd import SCHEMES, detectability_predicate
 from .keccak import NUM_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
@@ -362,15 +364,13 @@ def _mc_chunk(args):
 # ----------------------------------------------------------------------
 # engine-level trials as numpy rows
 #
-# A batch keeps each engine register as a (lanes, N) uint64 array, one
-# column per trial, in the layout of its plain-int value: register bit b
-# is bit b % 64 of lane b // 64.  So the state is 25 lanes (x + 5*y), C'
-# the five column-sum lanes, and F' and C'_F one lane each.
+# A batch keeps the state of its rows as a (25, N) uint64 array, one
+# column per trial, in the layout of ``StateArray.lanes``: state bit b is
+# bit b % 64 of lane b // 64 (x + 5*y).
 
 _NEXT = np.array([1, 2, 3, 4, 0])          # x + 1
 _PREV = np.array([4, 0, 1, 2, 3])          # x - 1
 _NEXT2 = np.array([2, 3, 4, 0, 1])         # x + 2
-_LANE_BITS = np.arange(25, dtype=np.uint64)[:, None]
 _ROUND_CONSTANTS = np.array(ROUND_CONSTANTS, dtype=np.uint64)
 
 
@@ -402,56 +402,47 @@ def _round_rows(a, r: int):
     return b.reshape(25, -1)
 
 
-def _sums(a, lanes: bool):
-    """The C plane (5, N) of a state batch and its F slice (1, N), the
-    latter zero unless ``lanes``."""
-    c = np.bitwise_xor.reduce(a.reshape(5, 5, -1), axis=0)
-    if not lanes:
-        return c, np.zeros((1, a.shape[1]), np.uint64)
-    parity = (np.bitwise_count(a) & 1).astype(np.uint64)
-    return c, np.bitwise_or.reduce(parity << _LANE_BITS, axis=0, keepdims=True)
-
-
 def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
     """Run one faulted copy of a single-permutation hash per pattern.
 
-    Each row makes the register moves of ``Engine.run_permutation`` with
-    the detection unit attached: primed from the entry state of
-    ``reference``, then at each commit window the row's flips land if it
-    is the row's slot, the row is checked against the last prime, runs
-    ``unroll`` rounds and is primed again.  ``patterns`` holds (register,
-    bit) targets.  Returns each row's sticky error flag and its ungated
+    ``patterns`` holds each row's (register, bit) targets and ``slots`` its
+    commit slot.  Returns each row's sticky error flag and its ungated
     digest, an (N, digest length) uint8 array.
+
+    Neither needs the engine's checks and primes.  A check compares the
+    sums of the state it reads with shadows primed from that same state
+    one commit earlier, so only the check of the row's own window can
+    mismatch, and it does exactly when the flips' syndrome is non-zero:
+    the flag is ``detectability_predicate``'s.  Shadow flips are
+    overwritten by the next prime and never reach the state, so a row
+    without state flips ends with the digest of ``reference``.  Only the
+    rows with state flips run: from the reference's entry state, they take
+    their flips at their slot and run the rounds.
     """
     if len(reference.entries) != 1:
         raise ValueError("batched trials need a hash of one permutation, "
                          f"not {len(reference.entries)}")
-    n, lanes = len(patterns), scheme == "z-sheet"
-    flips = {reg: np.zeros((-(-width // 64), n), np.uint64)
-             for reg, width in REGISTER_WIDTHS.items()}
-    for row, targets in enumerate(patterns):
-        for reg, bit in targets:
-            flips[reg][bit // 64, row] ^= 1 << bit % 64
-    at = np.asarray(slots)
-    a = np.repeat(np.array(reference.entries[0].lanes, np.uint64)[:, None], n, axis=1)
-    error = np.zeros(n, dtype=bool)
-    c_prime, f_prime = _sums(a, lanes)
-    cf_prime = _f_column_parities(f_prime)
+    flags = np.fromiter((detectability_predicate(t, scheme) for t in patterns),
+                        bool, len(patterns))
+    digests = np.tile(np.frombuffer(reference.digest, np.uint8), (len(patterns), 1))
+    state = [[bit for reg, bit in targets if reg == "state"] for targets in patterns]
+    hit = [row for row, bits in enumerate(state) if bits]
+    if not hit:
+        return flags, digests
+    flips = np.zeros((25, len(hit)), np.uint64)
+    for col, row in enumerate(hit):
+        for bit in state[row]:
+            flips[bit // 64, col] ^= 1 << bit % 64
+    at = np.asarray(slots)[hit]
+    a = np.repeat(np.array(reference.entries[0].lanes, np.uint64)[:, None], len(hit), axis=1)
     for slot in range(NUM_ROUNDS // unroll):
-        rows = np.flatnonzero(at == slot)
-        for reg, value in zip(REGISTER_WIDTHS, (a, c_prime, f_prime, cf_prime)):
-            value[:, rows] ^= flips[reg][:, rows]
-        c, f = _sums(a, lanes)
-        error |= (c != c_prime).any(axis=0)
-        if lanes:
-            error |= ((f != f_prime) | (_f_column_parities(f_prime) != cf_prime))[0]
+        a ^= np.where(at == slot, flips, 0)
         for r in range(slot * unroll, (slot + 1) * unroll):
             a = _round_rows(a, r)
-        c_prime, f_prime = _sums(a, lanes)
-        cf_prime = _f_column_parities(f_prime)
-    out = len(reference.digest)
-    digests = np.ascontiguousarray(a[:-(-out // 8)].T).astype("<u8").view(np.uint8)
-    return error, digests[:, :out]
+    out = digests.shape[1]
+    lanes = np.ascontiguousarray(a[:-(-out // 8)].T).astype("<u8")
+    digests[hit] = lanes.view(np.uint8)[:, :out]
+    return flags, digests
 
 
 # ----------------------------------------------------------------------
@@ -483,9 +474,10 @@ def _run_random_state(spec: CampaignSpec, workers: int):
     return spec.trials, spec.trials - undetected, undetected, 0, witnesses
 
 
-def _scope_space(scope) -> list:
-    return [(reg, bit) for reg, width in REGISTER_WIDTHS.items() if reg in scope
-            for bit in range(width)]
+@lru_cache(maxsize=None)
+def _scope_space(scope) -> tuple:
+    return tuple((reg, bit) for reg, width in REGISTER_WIDTHS.items() if reg in scope
+                 for bit in range(width))
 
 
 @lru_cache(maxsize=None)
@@ -499,7 +491,7 @@ def _fullsim_batches(spec: CampaignSpec):
     batch: each trial's (register, bit) targets in ``FaultPattern`` order,
     its commit slot in the fixed hash's one permutation, its error flag
     and its ungated digest."""
-    space = _scope_space(spec.scope)
+    space = _scope_space(tuple(spec.scope))
     rng = np.random.default_rng([spec.seed, len(space)])
     slots = NUM_ROUNDS // spec.unroll
     reference = _fullsim_reference(spec.scheme, spec.unroll)
@@ -517,7 +509,7 @@ def _run_random_fullsim(spec: CampaignSpec):
 
     Every trial hashes the same fixed message, so one fault-free reference
     run per (scheme, unroll) gives the fault-free digest and the entry
-    state all trials start from.
+    state that trials with state flips start from.
     """
     golden = np.frombuffer(_fullsim_reference(spec.scheme, spec.unroll).digest, np.uint8)
     detected = undetected = spurious = 0
@@ -535,8 +527,8 @@ def _run_random_fullsim(spec: CampaignSpec):
 def run_campaign(spec: CampaignSpec, workers: int | None = None) -> CampaignReport:
     """Run one campaign to completion and report the tallies.
 
-    Shadow-register scopes run every trial through the engine's register
-    moves, as batched rows of one hash of a fixed message; state-only
+    Shadow-register scopes give every trial the outcome of an engine run
+    of one hash of a fixed message, computed in batches; state-only
     campaigns evaluate the parity arithmetic directly.  Exhaustive rates
     are exact (the interval is the rate itself); sampled rates carry a
     Wilson interval.

@@ -23,8 +23,9 @@ runs one hash once from the start with that hook; given no fault-free
 digest, it first takes the digest of a ``reference_run``.  A
 ``ReferenceRun`` is one fault-free run with the detection unit attached,
 which must end with the error flag down; it keeps the digest and the
-entry state of each permutation.  The engine-level campaigns start their
-batched trials from it (see ``campaigns``).
+entry state of each permutation.  The engine-level campaigns take from it
+the digest of their trials without state flips and the state the others
+start from (see ``campaigns``).
 """
 
 from __future__ import annotations

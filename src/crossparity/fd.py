@@ -118,9 +118,10 @@ def detectability_predicate(pattern, scheme: str) -> bool:
     """Closed-form verdict for a set of bit flips in one commit window.
 
     ``pattern`` is a ``FaultPattern`` over any registers, or an iterable
-    of linear state bit indices.  True means the flips raise the error
-    flag at the next check.  Each flip toggles bits of the check's
-    syndrome, in the checker's own layout:
+    whose items are (register, bit) targets or linear state bit indices.
+    True means the flips raise the error flag at the next check.  Each
+    flip toggles bits of the check's syndrome, in the checker's own
+    layout:
 
     * state bit i: C-plane bit i % 320 and F-slice bit i // 64
     * ``c_prime`` bit u: C-plane bit u
@@ -137,13 +138,15 @@ def detectability_predicate(pattern, scheme: str) -> bool:
     if hasattr(pattern, "targets"):
         targets = [(t.register, t.bit) for t in pattern.targets]
     else:
-        bits = list(pattern)
-        if len(set(bits)) != len(bits):
+        targets = [t if isinstance(t, tuple) else ("state", int(t)) for t in pattern]
+        if len(set(targets)) != len(targets):
             raise ValueError("flip positions must be distinct")
-        for i in bits:
-            if not 0 <= i < 1600:
-                raise ValueError(f"bit index {i} out of range")
-        targets = [("state", int(i)) for i in bits]
+        for register, i in targets:
+            width = 1600 if register == "state" else SHADOW_WIDTHS.get(register)
+            if width is None:
+                raise ValueError(f"unknown register {register!r}")
+            if not 0 <= i < width:
+                raise ValueError(f"bit index {i} out of range for {register}")
     columns = lanes = guard = 0
     for register, i in targets:
         if register == "state":

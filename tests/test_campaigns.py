@@ -29,7 +29,7 @@ from crossparity.campaigns import (
 )
 from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
 from crossparity.fd import SCHEMES, detectability_predicate
-from crossparity.keccak import MASK64, StateArray, column_sums, lane_sums, round_step
+from crossparity.keccak import MASK64, StateArray, round_step
 from oracle_fips202 import bit_coords
 
 idx = StateArray.linear_index
@@ -400,10 +400,6 @@ def test_numpy_round_is_round_step():
               StateArray.zeros().with_flips([rng.randrange(1600)])]
     states += [StateArray(tuple(rng.getrandbits(64) for _ in range(25))) for _ in range(8)]
     batch = np.array([s.lanes for s in states], dtype=np.uint64).T
-    c, f = campaigns._sums(batch, True)
-    assert [sum(int(v) << 64 * x for x, v in enumerate(col)) for col in c.T] == \
-        [column_sums(s) for s in states]
-    assert f[0].tolist() == [lane_sums(s) for s in states]
     for r in range(24):
         got = campaigns._round_rows(batch, r)
         assert [tuple(col) for col in got.T.tolist()] == \
@@ -462,10 +458,10 @@ def test_batched_campaigns_match_scalar_runs(monkeypatch, scheme, unroll):
         assert rep["witnesses"] == [[list(t) for t in targets] for (targets, *_), o
                                     in zip(trials, got) if o == "silent-corruption"]
 
-    # planted at every slot: two escapes, a sheet rectangle and a state
-    # flip with the shadow flips that cancel its syndrome, and under
-    # z-sheet the latter without its cf_prime flip, which only the C'_F
-    # guard catches
+    # planted at every slot, and each re-run alone: two escapes, a sheet
+    # rectangle and a state flip with the shadow flips that cancel its
+    # syndrome, and under z-sheet the latter without its cf_prime flip,
+    # which only the C'_F guard catches
     slots = 24 // unroll
     planted = []
     for slot in range(slots):
@@ -483,10 +479,42 @@ def test_batched_campaigns_match_scalar_runs(monkeypatch, scheme, unroll):
     for (targets, slot, caught), flag, digest in zip(planted, flags, digests):
         want = (_outcome(flag, bytes(digest) != golden), flag, bytes(digest))
         assert flag == caught == detectability_predicate(_pattern(targets), scheme)
-        if slot in (0, slots // 2, slots - 1):
-            assert scalar(_pattern(targets), slot) == want, (targets, slot)
+        assert scalar(_pattern(targets), slot) == want, (targets, slot)
         outcomes.add(want[0])
     assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
+
+
+def test_rows_without_state_flips_run_no_rounds(monkeypatch):
+    # Shadow flips never reach the state, so a shadow-only campaign runs no
+    # round and every trial is a false alarm; in a mixed batch only the
+    # rows with state flips run, and the others keep the fault-free digest.
+    real_round_rows = campaigns._round_rows
+
+    def no_rounds(a, r):
+        raise AssertionError("a row without state flips ran a round")
+
+    monkeypatch.setattr(campaigns, "_round_rows", no_rounds)
+    rep = run_campaign(CampaignSpec(scheme="z-sheet", k=2, strategy="random", trials=50,
+                                    seed=4, unroll=2,
+                                    scope=("c_prime", "f_prime", "cf_prime")))
+    assert rep.spurious == rep.total == 50
+
+    widths = []
+
+    def counted(a, r):
+        widths.append(a.shape[1])
+        return real_round_rows(a, r)
+
+    monkeypatch.setattr(campaigns, "_round_rows", counted)
+    reference = campaigns._fullsim_reference("z-sheet", 4)
+    patterns = [[("c_prime", 3)], [("state", 9)], [("f_prime", 1), ("cf_prime", 4)],
+                [("cf_prime", 0), ("state", 1500)], [("c_prime", 319), ("f_prime", 24)]]
+    flags, digests = campaigns._run_batch(reference, "z-sheet", 4, patterns, [0, 1, 2, 3, 5])
+    assert flags.all()
+    assert widths == [2] * 24
+    for targets, digest in zip(patterns, digests):
+        shadow_only = all(reg != "state" for reg, _ in targets)
+        assert (bytes(digest) == reference.digest) is shadow_only, targets
 
 
 def test_state_only_campaigns_report_zero_spurious():

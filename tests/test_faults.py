@@ -406,3 +406,45 @@ def test_injected_runs_match_the_oracle(scheme, unroll):
                                                               pattern.state_bits))), \
                 (mode, slot, pattern)
     assert {"detected", "silent-corruption", "spurious-error"} <= outcomes
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("unroll", [1, 4, 24])
+def test_only_the_check_of_the_injected_window_fires(monkeypatch, scheme, unroll):
+    # Batched trials take their flag from the predicate instead of running
+    # the compares.  That rests on the engine: each check compares the
+    # state it reads with shadows primed from that same state one commit
+    # earlier, so in a whole run only the check that reads the injected
+    # window can return True, and it returns the predicate's verdict.  The
+    # run absorbs two blocks and squeezes two, and every one of its
+    # permutations takes each pattern at a drawn slot.
+    verdicts = []
+    real_check = FdRegisters.check
+
+    def check(self, c, f):
+        verdicts.append(real_check(self, c, f))
+        return verdicts[-1]
+
+    monkeypatch.setattr(FdRegisters, "check", check)
+    rng = random.Random(f"window/{scheme}/{unroll}")
+    rate = ORACLE_RATE["shake128"]
+    msg = rng.randbytes(rng.randrange(rate, 2 * rate))
+    out_len = rate + rng.randint(1, rate)
+    golden = hashlib.shake_128(msg).digest(out_len)
+    slots = 24 // unroll
+    patterns = _oracle_patterns(rng, scheme)
+    if scheme == "z-sheet":
+        # the cancelling set without its cf_prime flip: only the guard sees it
+        patterns.append(FaultPattern(tuple(t for t in patterns[-1].targets
+                                           if t.register != "cf_prime")))
+    for perm in range(3):
+        for pattern in patterns:
+            slot = rng.randrange(slots)
+            verdicts.clear()
+            res = inject_and_run("shake128", msg, pattern, InjectionSchedule(perm, slot),
+                                 scheme=scheme, unroll=unroll, out_len=out_len,
+                                 golden=golden)
+            want = [False] * (3 * slots)
+            want[perm * slots + slot] = detectability_predicate(pattern, scheme)
+            assert verdicts == want, (perm, slot, pattern)
+            assert res.error_raised == want[perm * slots + slot]

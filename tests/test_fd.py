@@ -300,6 +300,12 @@ def test_predicate_validation():
         detectability_predicate([1600], "z-sheet")
     with pytest.raises(ValueError):
         detectability_predicate([0], "parity")
+    with pytest.raises(ValueError, match="distinct"):
+        detectability_predicate([("state", 1), 1], "z-sheet")
+    with pytest.raises(ValueError, match="out of range for c_prime"):
+        detectability_predicate([("c_prime", 320)], "z-sheet")
+    with pytest.raises(ValueError, match="unknown register"):
+        detectability_predicate([("d_prime", 0)], "z-sheet")
 
 
 _SHADOW_TARGETS = [FaultTarget(reg, bit) for reg, width in SHADOW_WIDTHS.items()
@@ -330,6 +336,8 @@ def test_predicate_agrees_with_register_check(bits, shadows, scheme, seed, cance
         fd.flip(t.register, t.bit)
     got = fd.check(*taps(sa.with_flips(bits)))
     assert got == detectability_predicate(pattern, scheme)
+    assert got == detectability_predicate([(t.register, t.bit) for t in pattern.targets],
+                                          scheme)
     if not shadows:
         assert got == detectability_predicate(bits, scheme)
 
