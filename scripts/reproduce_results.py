@@ -89,7 +89,7 @@ def main(argv=None):
                                        trials=trials, seed=1000 + k))
         records.append(mc.to_record())
         print(f"  k={k}: rate {mc.rate:.6f}  CI95 [{mc.ci_low:.6f}, {mc.ci_high:.6f}]"
-              f"  undetected {mc.undetected}")
+              f"  undetected {mc.undetected}   [{mc.total / mc.wall_time:,.0f} trials/s]")
 
     banner(f"z-sheet engine-level campaign over state and shadow registers, "
            f"{engine_trials:,} trials per weight")

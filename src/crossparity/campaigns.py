@@ -23,8 +23,10 @@ key: the canonical id of its column mask (the XOR of the two masks for a
 pair), combined under z-sheet with the id of its lane mask.  A flip set
 escapes exactly when the keys of its two halves are equal, so one pass
 of binary searches in a sorted key table counts the escapes of every
-head of an exhaustive sweep at once.  Monte Carlo sorts each sampled row
-instead.  Campaigns whose scope includes shadow registers give each trial
+head of an exhaustive sweep at once.  Monte Carlo instead XORs a 64-bit
+fingerprint of each sampled position, which every escaping row folds to
+zero, and sorts only the rows that fold to zero for the exact per-class
+check.  Campaigns whose scope includes shadow registers give each trial
 the outcome of an engine run, since only the digest can tell a false
 alarm from real corruption.  Every trial hashes the same fixed message,
 one permutation long.  Its flag is the syndrome predicate's, which is what
@@ -76,8 +78,10 @@ _CHUNK_MC = 1 << 16
 _CHUNK_FULLSIM = 1 << 10
 
 # largest k over the state: a sweep's heads and entries are at most pairs,
-# and _sample_distinct redraws a whole row on any repeat, so past k = 64 a
-# Monte Carlo chunk takes seconds and soon never finishes
+# and _sample_distinct redraws a whole row on any repeat.  At k = 64 about
+# 72% of rows hold one and a chunk takes about 0.25 s (2 vCPUs); the share
+# of distinct rows falls off as exp(-k(k - 1) / 3200), so the redraws grow
+# fast past 64
 _MAX_K = {"exhaustive-sheet": 4, "exhaustive-global": 4, "random": 64}
 
 _FULLSIM_MODE = "sha3-256"
@@ -111,6 +115,8 @@ class CampaignSpec:
             raise ValueError("trials only apply to the random strategy")
         if not 0 <= self.sheet < 5:
             raise ValueError("sheet index must be 0..4")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for i, reg in enumerate(self.scope):
             if reg not in REGISTER_WIDTHS:
                 raise ValueError(f"unknown register {reg!r} in scope")
@@ -326,14 +332,36 @@ def _sweep(scheme: str, space: int, k: int):
 
 
 def _sample_distinct(rng, n_rows, k, space):
-    """(n_rows, k) arrays of distinct draws from range(space)."""
+    """(n_rows, k) arrays of distinct draws from range(space).
+
+    A row with a repeat is redrawn whole, in row order, until none is
+    left.  Rows not redrawn stay distinct, so each pass after the first
+    sorts only the rows it redrew.
+    """
     arr = rng.integers(0, space, size=(n_rows, k), dtype=np.int32)
+    rows = np.arange(n_rows)
+    srt = np.sort(arr, axis=1)
     while True:
-        srt = np.sort(arr, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
+        bad = np.zeros(len(rows), dtype=bool)
+        for j in range(1, k):
+            bad |= srt[:, j] == srt[:, j - 1]
+        rows = rows[bad]
+        if not len(rows):
             return arr
-        arr[bad] = rng.integers(0, space, size=(int(bad.sum()), k), dtype=np.int32)
+        arr[rows] = rng.integers(0, space, size=(len(rows), k), dtype=np.int32)
+        srt = np.sort(arr[rows], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _fingerprints(scheme: str):
+    """One uint64 per state position: the XOR of a fixed random key for
+    each of its classes.  A row in which every class occurs an even number
+    of times XORs to zero, so a row with a non-zero fold is detected."""
+    rng = np.random.default_rng(0)
+    fp = np.zeros(1600, dtype=np.uint64)
+    for cls, n in _classes(scheme, 1600):
+        fp ^= rng.integers(0, 1 << 64, size=n, dtype=np.uint64)[cls]
+    return fp
 
 
 def _rows_all_even(mat):
@@ -351,14 +379,21 @@ def _rows_all_even(mat):
 
 def _mc_chunk(args):
     """One Monte Carlo chunk (top level so it pickles): the undetected
-    count and the first undetected draws."""
+    count and the first undetected draws.
+
+    Only the rows whose fingerprints fold to zero, the escapes and the
+    rare 64-bit collision, go through the exact per-class check."""
     scheme, k, seed, chunk_index, n = args
     rng = np.random.default_rng([seed, chunk_index])
     arr = _sample_distinct(rng, n, k, 1600)
-    und = np.ones(n, dtype=bool)
+    fp = _fingerprints(scheme)
+    fold = fp[arr[:, 0]]
+    for j in range(1, k):
+        fold ^= fp[arr[:, j]]
+    und = np.flatnonzero(fold == 0)
     for cls, _ in _classes(scheme, 1600):
-        und &= _rows_all_even(cls[arr])
-    return int(und.sum()), arr[np.flatnonzero(und)[:MAX_WITNESSES]]
+        und = und[_rows_all_even(cls[arr[und]])]
+    return len(und), arr[und[:MAX_WITNESSES]]
 
 
 # ----------------------------------------------------------------------

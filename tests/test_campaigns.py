@@ -62,6 +62,8 @@ def test_spec_rejections():
         CampaignSpec(**{**good, "k": 0})
     with pytest.raises(ValueError):
         CampaignSpec(**{**good, "unroll": 5})
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        CampaignSpec(**{**good, "seed": -1})
     with pytest.raises(ValueError):
         CampaignSpec(scheme="z-sheet", k=1, strategy="random", trials=None)
     with pytest.raises(ValueError):
@@ -655,3 +657,73 @@ def test_monte_carlo_witnesses_verify():
     for witness in res.witnesses[:4]:
         bits = [bit for _, bit in witness]
         assert detectability_predicate(bits, "c-plane") is False
+
+
+# The chunk kernel as it was before rows were fingerprinted: every pass
+# re-sorts the whole array, and every row gets the per-class sort verdict.
+# Kept as the oracle the library's kernel must match draw for draw.
+
+def _oracle_sample(rng, n_rows, k, space):
+    arr = rng.integers(0, space, size=(n_rows, k), dtype=np.int32)
+    while True:
+        srt = np.sort(arr, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        if not bad.any():
+            return arr
+        arr[bad] = rng.integers(0, space, size=(int(bad.sum()), k), dtype=np.int32)
+
+
+def _oracle_chunk(scheme, k, seed, chunk_index, n):
+    arr = _oracle_sample(np.random.default_rng([seed, chunk_index]), n, k, 1600)
+    und = np.full(n, k % 2 == 0)
+    for cls, _ in campaigns._classes(scheme, 1600):
+        if k % 2 == 0:
+            s = np.sort(cls[arr], axis=1)
+            und &= (s[:, 0::2] == s[:, 1::2]).all(axis=1)
+    return int(und.sum()), arr[np.flatnonzero(und)[:MAX_WITNESSES]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8, 64])
+def test_monte_carlo_chunks_match_the_oracle(k):
+    n = campaigns._CHUNK_MC if k <= 8 else 4096
+    for seed, chunk_index in ((0, 0), (5, 3), (2**32 - 1, 17)):
+        ours = np.random.default_rng([seed, chunk_index])
+        theirs = np.random.default_rng([seed, chunk_index])
+        got = campaigns._sample_distinct(ours, n, k, 1600)
+        assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600))
+        # the same rng calls: both generators end in the same state
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        for scheme in SCHEMES:
+            count, witnesses = campaigns._mc_chunk((scheme, k, seed, chunk_index, n))
+            want_count, want_witnesses = _oracle_chunk(scheme, k, seed, chunk_index, n)
+            assert count == want_count, (scheme, seed, chunk_index)
+            assert np.array_equal(witnesses, want_witnesses)
+            if (scheme, k) == ("c-plane", 2):   # about 170 escapes per chunk
+                assert count > 100
+
+
+def test_monte_carlo_verdicts_rest_on_the_exact_check(monkeypatch):
+    # With every fingerprint zero every row folds to zero and goes through
+    # the per-class check, and the golden records still come out: the
+    # fingerprints only skip rows, they never decide a verdict.
+    calls = []
+
+    def zeros(scheme):
+        calls.append(scheme)
+        return np.zeros(1600, dtype=np.uint64)
+
+    monkeypatch.setattr(campaigns, "_fingerprints", zeros)
+    for want in GOLDEN_CAMPAIGNS["monte_carlo"]:
+        assert record_without_timing(run_campaign(spec_of(want), workers=1)) == want
+    assert calls
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fingerprints_fold_escapes_to_zero(scheme):
+    # one fingerprint per column under c-plane, per (column, lane) under z-sheet
+    fp = campaigns._fingerprints(scheme)
+    assert fp.dtype == np.uint64
+    assert len(np.unique(fp)) == (320 if scheme == "c-plane" else 1600)
+    for witness in undetected_census(4, scheme).witnesses:
+        fold = np.bitwise_xor.reduce(fp[[bit for _, bit in witness]])
+        assert fold == 0

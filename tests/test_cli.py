@@ -375,6 +375,7 @@ def test_campaign_cli_rejects_bad_worker_count(value, capsys, monkeypatch):
     (["--k", "5", "--strategy", "exhaustive-sheet"], None),
     (["--k", "65", "--strategy", "random", "--trials", "10"], None),
     (["--k", "2", "--strategy", "exhaustive-sheet"], "abc"),
+    (["--k", "2", "--strategy", "random", "--trials", "10", "--seed", "-1"], None),
 ])
 def test_campaign_cli_refusal_keeps_an_earlier_report(args, workers, tmp_path, capsys,
                                                       monkeypatch):

@@ -22,6 +22,8 @@ def test_reproduce_results_quick(tmp_path, capsys):
     assert "z-sheet  k=1: 0  k=2: 0  k=3: 0  k=4: 100,800  k=5: 0  k=6: 12,499,200" in text
     assert "k=8: rate 1.000000  CI95 [0.999962, 1.000000]  undetected 0" in text
     assert "silent corruption 0" in text
+    # the five Monte Carlo lines and the two engine-level lines end in trials/s
+    assert sum(line.endswith(" trials/s]") for line in text.splitlines()) == 7
     records = json.loads(out.read_text())
     # five sheets at k = 1..4, c-plane global k = 1, 2, Monte Carlo k = 4..8,
     # then the engine-level z-sheet campaign at k = 1, 2
