@@ -21,19 +21,22 @@ construction and is cross-checked against one in the test suite.  The
 exhaustive strategies give each position, and each pair of positions, a
 key: the canonical id of its column mask (the XOR of the two masks for a
 pair), combined under z-sheet with the id of its lane mask.  A flip set
-escapes exactly when the keys of its two halves are equal, so one pass
-of binary searches in a sorted key table counts the escapes of every
-head of an exhaustive sweep at once.  Monte Carlo instead XORs a 64-bit
-fingerprint of each sampled position, which every escaping row folds to
-zero, and sorts only the rows that fold to zero for the exact per-class
-check.  Campaigns whose scope includes shadow registers give each trial
-the outcome of an engine run, since only the digest can tell a false
-alarm from real corruption.  Every trial hashes the same fixed message,
-one permutation long.  Its flag is the syndrome predicate's, which is what
-the engine's checks compute, and only trials with state flips run the
-rounds, as numpy rows that start from the entry state of one shared
-fault-free run; a trial without them keeps that run's digest (see
-``_run_batch`` for why this is exact).
+escapes exactly when the keys of its two halves are equal, so the
+escapes of each head of an exhaustive sweep are one run of a sorted key
+table, counted for every head at once.  A k = 4 head is itself an entry
+of the pair table, so it reads where its run ends from a cached table
+and searches for where its escapes start only when an entry of its key
+follows it.  Monte Carlo instead XORs a 64-bit fingerprint of each
+sampled position, which every escaping row folds to zero, and sorts only
+the rows that fold to zero for the exact per-class check.  Campaigns
+whose scope includes shadow registers give each trial the outcome of an
+engine run, since only the digest can tell a false alarm from real
+corruption.  Every trial hashes the same fixed message, one permutation
+long.  Its flag is the syndrome predicate's, which is what the engine's
+checks compute, and only trials with state flips run the rounds, as
+numpy rows that start from the entry state of one shared fault-free run;
+a trial without them keeps that run's digest (see ``_run_batch`` for why
+this is exact).
 
 Each strategy returns its tallies and ``run_campaign`` builds the one
 report from them.  Exhaustive sweeps run in one pass in the calling
@@ -282,6 +285,24 @@ def _pair_keys(scheme: str, space: int):
             *_ranked(_key_table(scheme, space, (a, b))))
 
 
+@lru_cache(maxsize=None)
+def _run_ends(scheme: str, space: int):
+    """(end, live) for the ranked pair table: where each pair's key run
+    ends in ``ranked`` (int32), and the pairs that some later entry of
+    their run follows, in index order.  Kept apart from ``_pair_keys``, so
+    that only a k = 4 sweep builds them."""
+    *_, ranked = _pair_keys(scheme, space)
+    n = len(ranked)
+    pair, run_key = ranked % n, ranked // n
+    same = run_key[1:] == run_key[:-1]          # ranks r and r + 1 share a key
+    ends = np.append(np.flatnonzero(~same) + 1, n)
+    end = np.empty(n, dtype=np.int32)
+    end[pair] = np.repeat(ends, np.diff(ends, prepend=0))
+    live = np.zeros(n, dtype=bool)
+    live[pair[:-1][same]] = True
+    return end, np.flatnonzero(live)
+
+
 def _sheet_bit_to_state(sheet: int, pos: int) -> int:
     y, z = divmod(pos, 64)
     return 64 * (5 * y + sheet) + z
@@ -294,32 +315,50 @@ def _witness(bits) -> tuple:
 # ----------------------------------------------------------------------
 # sweep and sampling kernels
 
-def _sweep(scheme: str, space: int, k: int):
-    """Count the escaping weight-k subsets of ``space`` positions.
+def _escapes(scheme: str, space: int, k: int):
+    """Per head of a weight-k sweep: (first entry after it, first escaping
+    entry in ``ranked``, escaping entry count).
 
     A pattern is a head (empty for k <= 2, a first position for k = 3, a
     first pair for k = 4) and one table entry after it, and escapes when
     the entry's key equals the head's (0 for the empty head).  A head's
-    escaping entries are one run of the ranked table, so one binary
-    search per head end counts them all.
-
-    Returns (patterns evaluated, undetected count, first undetected
-    patterns as position tuples, in enumeration order).
+    escaping entries are the entries of its key run from the first one
+    after it on.  For k <= 3 two binary searches find the run's two ends.
+    A k = 4 head is a pair, so its run is its own: it reads the run's end
+    from ``_run_ends``, and only a head that some entry of its run follows
+    searches for the start.
     """
     single, ranked = _single_keys(scheme, space)
-    key = single
     if k > 1:
         a, b, start, key, ranked = _pair_keys(scheme, space)
-    n = len(key)
+    n = len(ranked)
     if k <= 2:
         target, begin = np.zeros(1, np.int64), np.zeros(1, np.int64)
     elif k == 3:
         target, begin = single[:space - 2], start[1:space - 1]
     else:
-        target, begin = key, start[b + 1]
+        begin = start[b + 1]
+        end, live = _run_ends(scheme, space)
+        first = end.astype(np.int64)
+        first[live] = np.searchsorted(ranked, key[live].astype(np.int64) * n + begin[live])
+        return begin, first, end - first
     base = target.astype(np.int64) * n
     first = np.searchsorted(ranked, base + begin)
-    counts = np.searchsorted(ranked, base + n) - first
+    return begin, first, np.searchsorted(ranked, base + n) - first
+
+
+def _sweep(scheme: str, space: int, k: int):
+    """Count the escaping weight-k subsets of ``space`` positions.
+
+    Returns (patterns evaluated, undetected count, first undetected
+    patterns as position tuples, in enumeration order).
+    """
+    begin, first, counts = _escapes(scheme, space, k)
+    if k == 1:
+        _, ranked = _single_keys(scheme, space)
+    else:
+        a, b, _, _, ranked = _pair_keys(scheme, space)
+    n = len(ranked)
     patterns = []
     for h in np.flatnonzero(counts):
         room = MAX_WITNESSES - len(patterns)

@@ -20,7 +20,9 @@ from crossparity.campaigns import (
     STRATEGIES,
     WORKERS_ENV,
     CampaignSpec,
+    _escapes,
     _pair_keys,
+    _run_ends,
     _sheet_bit_to_state,
     _single_keys,
     run_campaign,
@@ -314,6 +316,45 @@ def test_global_singles_build_no_pair_table():
                      workers=1)
     assert _pair_keys.cache_info().currsize == 0
     assert _single_keys.cache_info().currsize >= 2
+
+
+def _two_search_escapes(scheme, space):
+    """Per pair head of a k = 4 sweep: the first escaping entry and the
+    escape count, from two binary searches in the ranked pair table.  The
+    sweep read them this way before the run-end table; kept as its oracle."""
+    _, b, start, key, ranked = _pair_keys(scheme, space)
+    base = key.astype(np.int64) * len(key)
+    first = np.searchsorted(ranked, base + start[b + 1])
+    return first, np.searchsorted(ranked, base + len(key)) - first
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("space", [320, 1600])
+def test_quad_heads_match_two_searches(scheme, space):
+    _, b, start, _, _ = _pair_keys(scheme, space)
+    begin, first, counts = _escapes(scheme, space, 4)
+    want_first, want_counts = _two_search_escapes(scheme, space)
+    np.testing.assert_array_equal(begin, start[b + 1])
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(first, want_first)
+    # some heads search for their escapes and some do not; some escape
+    _, live = _run_ends(scheme, space)
+    assert 0 < len(live) < len(counts) and counts.any()
+
+
+def test_sweeps_below_quads_build_no_run_end_table():
+    # the benchmark's global c-plane k = 2 sweep among them, so its memory
+    # stays that of the pair table
+    _run_ends.cache_clear()
+    for strategy in ("exhaustive-sheet", "exhaustive-global"):
+        for scheme in SCHEMES:
+            for k in (1, 2, 3):
+                run_campaign(CampaignSpec(scheme=scheme, k=k, strategy=strategy),
+                             workers=1)
+    assert _run_ends.cache_info().currsize == 0
+    run_campaign(CampaignSpec(scheme="z-sheet", k=4, strategy="exhaustive-sheet"),
+                 workers=1)
+    assert _run_ends.cache_info().currsize == 1
 
 
 def test_worker_count_from_environment(monkeypatch):
