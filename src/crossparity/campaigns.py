@@ -28,7 +28,9 @@ of the pair table, so it reads where its run ends from a cached table
 and searches for where its escapes start only when an entry of its key
 follows it.  Monte Carlo instead XORs a 64-bit fingerprint of each
 sampled position, which every escaping row folds to zero, and sorts only
-the rows that fold to zero for the exact per-class check.  Campaigns
+the rows that fold to zero for the exact per-class check.  It finds the
+samples with a repeated position by comparing every pair of columns up
+to k = ``_PAIRS_MAX_K``, and by sorting each row past it.  Campaigns
 whose scope includes shadow registers give each trial the outcome of an
 engine run, since only the digest can tell a false alarm from real
 corruption.  Every trial hashes the same fixed message, one permutation
@@ -43,10 +45,12 @@ report from them.  Exhaustive sweeps run in one pass in the calling
 process.  Engine-level trials run in the calling process in fixed-size
 batches, so memory stays bounded for any trial count.  Monte Carlo over
 the state is split into fixed-size chunks of trials, each drawn from its
-own seeded generator and handed to a process pool, so results are
-identical for any worker count.  The worker count comes from the
-CROSSPARITY_WORKERS environment variable, defaulting to the available
-parallelism.
+own seeded generator, so results are identical for any worker count.  A
+campaign of more than one chunk with more than one worker hands its
+chunks to a process pool that is started by the first such call and kept
+for the next ones; any other runs in the calling process.  The worker
+count comes from the CROSSPARITY_WORKERS environment variable, defaulting
+to the available parallelism.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -76,13 +81,20 @@ STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 # depend on the worker count
 _CHUNK_MC = 1 << 16
 
+# largest k at which a Monte Carlo chunk compares every pair of columns to
+# find repeats and folds column by column.  Past it one sort and one
+# reduction per row are cheaper: a 2^16-row z-sheet chunk takes about
+# 4.5 ms against 10.8 ms at k = 6, breaks even near k = 19 and takes
+# 52 ms against 31 ms at k = 32 (2 vCPUs)
+_PAIRS_MAX_K = 16
+
 # engine-level trials per batch; fixed so that memory stays bounded for any
 # trial count
 _CHUNK_FULLSIM = 1 << 10
 
 # largest k over the state: a sweep's heads and entries are at most pairs,
 # and _sample_distinct redraws a whole row on any repeat.  At k = 64 about
-# 72% of rows hold one and a chunk takes about 0.25 s (2 vCPUs); the share
+# 72% of rows hold one and a chunk takes about 0.15 s (2 vCPUs); the share
 # of distinct rows falls off as exp(-k(k - 1) / 3200), so the redraws grow
 # fast past 64
 _MAX_K = {"exhaustive-sheet": 4, "exhaustive-global": 4, "random": 64}
@@ -370,25 +382,43 @@ def _sweep(scheme: str, space: int, k: int):
     return int(np.sum(n - begin)), int(counts.sum()), patterns
 
 
+def _has_repeat(rows):
+    """Per row of an (m, k) array: does some value occur in it twice?
+
+    Up to ``_PAIRS_MAX_K`` every pair of columns is compared; past it the
+    rows are sorted and each compared with itself shifted by one.
+    """
+    k = rows.shape[1]
+    if k > _PAIRS_MAX_K:
+        srt = np.sort(rows, axis=1)
+        return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    cols = np.ascontiguousarray(rows.T)
+    bad = np.zeros(len(rows), dtype=bool)
+    for i, j in combinations(range(k), 2):
+        bad |= cols[i] == cols[j]
+    return bad
+
+
 def _sample_distinct(rng, n_rows, k, space):
     """(n_rows, k) arrays of distinct draws from range(space).
 
     A row with a repeat is redrawn whole, in row order, until none is
     left.  Rows not redrawn stay distinct, so each pass after the first
-    sorts only the rows it redrew.
+    checks only the rows it redrew.  Up to ``_PAIRS_MAX_K`` the array is
+    column-major, so that each column, which ``_has_repeat`` compares and
+    ``_mc_chunk`` folds, is contiguous.
     """
     arr = rng.integers(0, space, size=(n_rows, k), dtype=np.int32)
+    if k <= _PAIRS_MAX_K:
+        arr = np.asfortranarray(arr)
     rows = np.arange(n_rows)
-    srt = np.sort(arr, axis=1)
+    bad = _has_repeat(arr)
     while True:
-        bad = np.zeros(len(rows), dtype=bool)
-        for j in range(1, k):
-            bad |= srt[:, j] == srt[:, j - 1]
         rows = rows[bad]
         if not len(rows):
             return arr
         arr[rows] = rng.integers(0, space, size=(len(rows), k), dtype=np.int32)
-        srt = np.sort(arr[rows], axis=1)
+        bad = _has_repeat(arr[rows])
 
 
 @lru_cache(maxsize=None)
@@ -420,15 +450,22 @@ def _mc_chunk(args):
     """One Monte Carlo chunk (top level so it pickles): the undetected
     count and the first undetected draws.
 
-    Only the rows whose fingerprints fold to zero, the escapes and the
-    rare 64-bit collision, go through the exact per-class check."""
+    The fingerprints are folded column by column up to ``_PAIRS_MAX_K``,
+    where ``_sample_distinct`` leaves each column contiguous, and row by
+    row past it.  Only the rows whose fingerprints fold to zero, the
+    escapes and the rare 64-bit collision, go through the exact per-class
+    check."""
     scheme, k, seed, chunk_index, n = args
     rng = np.random.default_rng([seed, chunk_index])
     arr = _sample_distinct(rng, n, k, 1600)
     fp = _fingerprints(scheme)
-    fold = fp[arr[:, 0]]
-    for j in range(1, k):
-        fold ^= fp[arr[:, j]]
+    if k > _PAIRS_MAX_K:
+        fold = np.bitwise_xor.reduce(fp[arr], axis=1)
+    else:
+        cols = arr.T
+        fold = fp[cols[0]]
+        for col in cols[1:]:
+            fold ^= fp[col]
     und = np.flatnonzero(fold == 0)
     for cls, _ in _classes(scheme, 1600):
         und = und[_rows_all_even(cls[arr[und]])]
@@ -535,14 +572,49 @@ def _run_exhaustive(spec: CampaignSpec):
     return total, total - undetected, undetected, 0, [_witness(p) for p in patterns]
 
 
+# the Monte Carlo process pool kept across calls, as ((pid, workers), pool)
+_pool = None
+
+
+def _mc_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of ``workers`` processes, started on first use.
+
+    The key holds the process id, so a forked child starts its own pool
+    instead of using its parent's.  Only one pool is alive at a time; the
+    workers exit at interpreter exit through ``concurrent.futures``' own
+    exit hook.
+    """
+    global _pool
+    key = (os.getpid(), workers)
+    if _pool is not None and _pool[0] != key:
+        _drop_pool()
+    if _pool is None:
+        _pool = key, ProcessPoolExecutor(max_workers=workers)
+    return _pool[1]
+
+
+def _drop_pool():
+    """Forget the kept pool, shutting it down if this process started it."""
+    global _pool
+    if _pool is None:
+        return
+    (pid, _), pool = _pool
+    _pool = None
+    if pid == os.getpid():
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_random_state(spec: CampaignSpec, workers: int):
     tasks = [(spec.scheme, spec.k, spec.seed, idx, min(_CHUNK_MC, spec.trials - lo))
              for idx, lo in enumerate(range(0, spec.trials, _CHUNK_MC))]
     if workers <= 1 or len(tasks) <= 1:
         results = [_mc_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_mc_chunk, tasks))
+        try:
+            results = list(_mc_pool(workers).map(_mc_chunk, tasks))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     undetected = sum(r[0] for r in results)
     witnesses = [_witness(bits) for r in results for bits in r[1]][:MAX_WITNESSES]
     return spec.trials, spec.trials - undetected, undetected, 0, witnesses

@@ -146,9 +146,15 @@ def cmd_hash(args) -> int:
 
 def cmd_kat(args) -> int:
     try:
-        text = Path(args.fixture).read_text()
+        data = Path(args.fixture).read_bytes()
     except OSError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        print(f"bad fixture: line {line}: not UTF-8 text", file=sys.stderr)
         return 2
     try:
         records, skipped = parse_response_file(text, mode_hint=args.mode)

@@ -38,8 +38,6 @@ from .keccak import NUM_ROUNDS, StateArray
 
 REGISTER_WIDTHS = {"state": 1600, **SHADOW_WIDTHS}
 
-OUTCOMES = ("detected", "silent-corruption", "benign", "spurious-error")
-
 
 @dataclass(frozen=True, order=True)
 class FaultTarget:
@@ -70,10 +68,6 @@ class FaultPattern:
     @classmethod
     def from_state_bits(cls, bits) -> "FaultPattern":
         return cls(tuple(FaultTarget("state", int(b)) for b in bits))
-
-    @property
-    def weight(self) -> int:
-        return len(self.targets)
 
     @property
     def state_bits(self) -> tuple[int, ...]:

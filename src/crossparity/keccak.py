@@ -91,13 +91,6 @@ class StateArray:
     def to_bytes(self) -> bytes:
         return b"".join(l.to_bytes(8, "little") for l in self.lanes)
 
-    @staticmethod
-    def linear_index(x: int, y: int, z: int) -> int:
-        return 64 * (5 * y + x) + z
-
-    def bit(self, x: int, y: int, z: int) -> int:
-        return (self.lanes[x + 5 * y] >> z) & 1
-
     def with_flips(self, indices) -> "StateArray":
         """Return a copy with the given linear bit positions flipped."""
         lanes = list(self.lanes)

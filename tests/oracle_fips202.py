@@ -21,6 +21,16 @@ def bit_coords(i):
     return x, y, z
 
 
+def linear_index(x, y, z):
+    """Linear index of state bit (x, y, z)."""
+    return 64 * (5 * y + x) + z
+
+
+def lane_bit(lanes, x, y, z):
+    """Bit (x, y, z) of a state given as 25 lanes indexed 5y + x."""
+    return (lanes[5 * y + x] >> z) & 1
+
+
 def _rotl(lane, n):
     n %= 64
     return ((lane << n) | (lane >> (64 - n))) & MASK64

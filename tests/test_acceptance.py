@@ -171,8 +171,8 @@ def test_criterion_4_c_plane_boundary():
     for i in range(30):
         x, z = rng.randrange(5), rng.randrange(64)
         y1, y2 = rng.sample(range(5), 2)
-        blind = FaultPattern.from_state_bits([StateArray.linear_index(x, y1, z),
-                                              StateArray.linear_index(x, y2, z)])
+        blind = FaultPattern.from_state_bits([oracle.linear_index(x, y1, z),
+                                              oracle.linear_index(x, y2, z)])
         # Early slots leave enough rounds for the corruption to reach the
         # truncated digest; at the very last slot a blind pair can stay
         # outside the first 256 bits and read back as benign.
@@ -251,8 +251,8 @@ def test_criterion_7_unroll_invariance():
     suite = [FaultPattern.from_state_bits(rng.sample(range(1600), k))
              for k in (1, 1, 2, 2, 3, 3, 4, 4, 5, 5)]
     suite.append(FaultPattern.from_state_bits(
-        [StateArray.linear_index(1, 0, 3), StateArray.linear_index(1, 0, 9),
-         StateArray.linear_index(1, 4, 3), StateArray.linear_index(1, 4, 9)]))
+        [oracle.linear_index(1, 0, 3), oracle.linear_index(1, 0, 9),
+         oracle.linear_index(1, 4, 3), oracle.linear_index(1, 4, 9)]))
     suite.append(FaultPattern((FaultTarget("c_prime", 17),)))
     suite.append(FaultPattern((FaultTarget("f_prime", 5),)))
     outcome_vectors = set()

@@ -8,6 +8,7 @@ plain brute force over all subsets.
 import json
 import math
 import random
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from pathlib import Path
 
@@ -32,9 +33,7 @@ from crossparity.campaigns import (
 from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
 from crossparity.fd import SCHEMES, detectability_predicate
 from crossparity.keccak import MASK64, StateArray, round_step
-from oracle_fips202 import bit_coords
-
-idx = StateArray.linear_index
+from oracle_fips202 import bit_coords, linear_index as idx
 
 
 def record_without_timing(report):
@@ -392,7 +391,9 @@ def test_random_state_campaign_k2_c_plane_finds_misses():
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """Counts the process pools the campaigns start."""
+    """Counts the process pools the campaigns start, from no kept pool to
+    none left behind."""
+    campaigns._drop_pool()
     starts = []
     real = campaigns.ProcessPoolExecutor
 
@@ -401,7 +402,8 @@ def pool_starts(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", counting)
-    return starts
+    yield starts
+    campaigns._drop_pool()
 
 
 def test_random_campaign_reproducible(pool_starts):
@@ -413,6 +415,45 @@ def test_random_campaign_reproducible(pool_starts):
     b = record_without_timing(run_campaign(spec, workers=2))
     assert pool_starts == [2]
     assert a == b and a["witnesses"]
+
+
+# a full chunk and one trial more: the smallest campaign that goes through
+# the pool
+POOLED = CampaignSpec(scheme="z-sheet", k=4, strategy="random",
+                      trials=campaigns._CHUNK_MC + 1, seed=4)
+
+
+def test_pool_is_kept_across_calls(pool_starts):
+    want = record_without_timing(run_campaign(POOLED, workers=1))
+    for _ in range(2):
+        assert record_without_timing(run_campaign(POOLED, workers=2)) == want
+    assert pool_starts == [2]
+
+
+def test_a_new_worker_count_replaces_the_pool(pool_starts):
+    want = record_without_timing(run_campaign(POOLED, workers=1))
+    run_campaign(POOLED, workers=2)
+    first = campaigns._pool[1]
+    assert record_without_timing(run_campaign(POOLED, workers=3)) == want
+    assert pool_starts == [2, 3]
+    # only the new pool is alive: the old one takes no more work
+    assert campaigns._pool[1] is not first
+    with pytest.raises(RuntimeError, match="shutdown"):
+        first.submit(abs, -1)
+
+
+def test_a_broken_pool_is_replaced(pool_starts):
+    want = record_without_timing(run_campaign(POOLED, workers=1))
+    run_campaign(POOLED, workers=2)
+    for proc in list(campaigns._pool[1]._processes.values()):
+        proc.kill()
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+    with pytest.raises(BrokenProcessPool):
+        run_campaign(POOLED, workers=2)
+    assert campaigns._pool is None
+    assert record_without_timing(run_campaign(POOLED, workers=2)) == want
+    assert pool_starts == [2, 2]
 
 
 def test_random_campaign_seed_matters():
@@ -700,9 +741,11 @@ def test_monte_carlo_witnesses_verify():
         assert detectability_predicate(bits, "c-plane") is False
 
 
-# The chunk kernel as it was before rows were fingerprinted: every pass
-# re-sorts the whole array, and every row gets the per-class sort verdict.
-# Kept as the oracle the library's kernel must match draw for draw.
+# The chunk kernel as it was before rows were fingerprinted and before
+# repeats were found by column pairs: every pass sorts each row of the whole
+# array, and every row gets the per-class sort verdict.  Kept as the oracle
+# the library's kernel must match draw for draw, on both sides of
+# ``_PAIRS_MAX_K``.
 
 def _oracle_sample(rng, n_rows, k, space):
     arr = rng.integers(0, space, size=(n_rows, k), dtype=np.int32)
@@ -724,7 +767,40 @@ def _oracle_chunk(scheme, k, seed, chunk_index, n):
     return int(und.sum()), arr[np.flatnonzero(und)[:MAX_WITNESSES]]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8, 64])
+SAMPLED_KS = sorted({1, 2, 3, 4, 6, 8, 16, 17, 32, 64,
+                     campaigns._PAIRS_MAX_K, campaigns._PAIRS_MAX_K + 1})
+
+
+class _PlantedRepeats:
+    """A generator whose first draw has a repeat planted in every other
+    row, at each pair of columns in turn."""
+
+    def __init__(self, seed, k):
+        self.rng = np.random.default_rng(seed)
+        self.pairs = list(combinations(range(k), 2))
+        self.first = True
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        if self.first and self.pairs:
+            for row in range(0, len(out), 2):
+                i, j = self.pairs[row // 2 % len(self.pairs)]
+                out[row, j] = out[row, i]
+        self.first = False
+        return out
+
+
+@pytest.mark.parametrize("k", SAMPLED_KS)
+def test_sampler_redraws_planted_repeats(k):
+    n = 4096
+    ours, theirs = _PlantedRepeats(k, k), _PlantedRepeats(k, k)
+    got = campaigns._sample_distinct(ours, n, k, 1600)
+    assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600))
+    assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+    assert all(len(set(row)) == k for row in got.tolist())
+
+
+@pytest.mark.parametrize("k", SAMPLED_KS)
 def test_monte_carlo_chunks_match_the_oracle(k):
     n = campaigns._CHUNK_MC if k <= 8 else 4096
     for seed, chunk_index in ((0, 0), (5, 3), (2**32 - 1, 17)):

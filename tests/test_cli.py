@@ -4,14 +4,17 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossparity
 from conftest import VECTOR_DIR
 from crossparity.cli import FixtureError, main, parse_response_file
 
@@ -278,6 +281,13 @@ def test_kat_rejects_empty_shake_output(tmp_path, capsys):
     assert "bad fixture: line 12:" in capsys.readouterr().err
 
 
+def test_kat_rejects_a_fixture_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "binary.rsp"
+    f.write_bytes(GOOD_SHA3.encode().replace(b"Msg = 616263", b"Msg = \xff\xfe"))
+    assert main(["kat", "--fixture", str(f)]) == 2
+    assert "bad fixture: line 9: not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["SHA3_512ShortMsg.rsp", "SHAKE128VariableOut.rsp"])
 def test_kat_replays_bundled_fixture(name, capsys):
     assert main(["kat", "--fixture", os.path.join(VECTOR_DIR, name)]) == 0
@@ -328,6 +338,21 @@ def test_campaign_cli_bad_report_path_fails_before_the_campaign(tmp_path, capsys
     assert ran == []
     err = capsys.readouterr().err
     assert "No such file or directory" in err and str(bad) in err
+
+
+def test_campaign_cli_with_a_pool_exits(tmp_path):
+    # Two chunks on two workers start the kept pool.  The run must end
+    # within the timeout, and it can only if no pool worker outlives the
+    # command, since a live worker would hold its output pipe open.
+    src = Path(crossparity.__file__).resolve().parents[1]
+    env = {**os.environ, "CROSSPARITY_WORKERS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossparity", "campaign", "--k", "4",
+         "--strategy", "random", "--trials", "70000", "--fd", "z-sheet"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "patterns: 70000" in proc.stdout
 
 
 def test_campaign_cli_witness_line(capsys):

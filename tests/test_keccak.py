@@ -91,9 +91,12 @@ def test_linear_index_is_a_bijection():
     for x in range(5):
         for y in range(5):
             for z in range(64):
-                i = StateArray.linear_index(x, y, z)
+                i = oracle.linear_index(x, y, z)
                 assert i == 64 * (5 * y + x) + z
                 assert oracle.bit_coords(i) == (x, y, z)
+                # the library flips bit z of lane x + 5y for index i
+                lanes = StateArray.zeros().with_flips([i]).lanes
+                assert lanes == tuple(1 << z if l == x + 5 * y else 0 for l in range(25))
                 seen.add(i)
     assert seen == set(range(1600))
 
@@ -104,14 +107,14 @@ def test_bit_to_byte_mapping():
     raw[8 * (5 * 3 + 2)] = 0x01
     sa = StateArray.from_bytes(bytes(raw))
     assert sa.lanes[5 * 3 + 2] == 1
-    assert sa.bit(2, 3, 0) == 1
+    assert oracle.lane_bit(sa.lanes, 2, 3, 0) == 1
     assert sum(sa.lanes) == 1
 
 
 def test_named_bit_position():
-    sa = StateArray.zeros().with_flips([StateArray.linear_index(2, 3, 17)])
-    assert sa.bit(2, 3, 17) == 1
-    assert StateArray.linear_index(2, 3, 17) == 1105
+    sa = StateArray.zeros().with_flips([oracle.linear_index(2, 3, 17)])
+    assert oracle.lane_bit(sa.lanes, 2, 3, 17) == 1
+    assert oracle.linear_index(2, 3, 17) == 1105
 
 
 @given(state_bytes_strategy, st.sets(st.integers(0, 1599), min_size=1, max_size=20))
@@ -133,18 +136,18 @@ def test_state_equality_and_hash():
 
 def test_column_sums_single_bit():
     # Column (x, z) is bit 64*x + z of the C plane.
-    sa = StateArray.zeros().with_flips([StateArray.linear_index(2, 3, 17)])
+    sa = StateArray.zeros().with_flips([oracle.linear_index(2, 3, 17)])
     assert column_sums(sa) == 1 << (64 * 2 + 17)
 
 
 def test_column_sums_three_in_one_column():
-    idx = [StateArray.linear_index(1, y, 40) for y in (0, 2, 4)]
+    idx = [oracle.linear_index(1, y, 40) for y in (0, 2, 4)]
     assert column_sums(StateArray.zeros().with_flips(idx)) == 1 << (64 * 1 + 40)
 
 
 def test_lane_sums_examples():
     # Lane (x, y) is bit x + 5*y of the F slice.
-    sa = StateArray.zeros().with_flips([StateArray.linear_index(4, 4, 63)])
+    sa = StateArray.zeros().with_flips([oracle.linear_index(4, 4, 63)])
     assert lane_sums(sa) == 1 << (4 + 5 * 4)
 
     # Eight set bits in one lane: even parity.
@@ -169,7 +172,7 @@ def test_parity_taps_match_brute_force(raw):
         x, z = rng.randrange(5), rng.randrange(64)
         want = 0
         for y in range(5):
-            want ^= sa.bit(x, y, z)
+            want ^= oracle.lane_bit(sa.lanes, x, y, z)
         assert c >> (64 * x + z) & 1 == want
     for x in range(5):
         for y in range(5):
@@ -187,14 +190,14 @@ def test_theta_matches_oracle(seed):
 
 
 def test_theta_single_bit_taps():
-    sa = StateArray.zeros().with_flips([StateArray.linear_index(2, 3, 17)])
+    sa = StateArray.zeros().with_flips([oracle.linear_index(2, 3, 17)])
     out = theta(sa)
     assert column_sums(sa) == 1 << (64 * 2 + 17)
     # D[3] picks up C[2] at z=17; D[1] picks up rotl(C[2], 1) at z=18.
     for y in range(5):
-        assert out.bit(3, y, 17) == 1
-        assert out.bit(1, y, 18) == 1
-    assert out.bit(2, 3, 17) == 1
+        assert oracle.lane_bit(out.lanes, 3, y, 17) == 1
+        assert oracle.lane_bit(out.lanes, 1, y, 18) == 1
+    assert oracle.lane_bit(out.lanes, 2, 3, 17) == 1
 
 
 def test_theta_is_identity_when_columns_are_even():
@@ -204,8 +207,8 @@ def test_theta_is_identity_when_columns_are_even():
     for _ in range(30):
         x, z = rng.randrange(5), rng.randrange(64)
         y1, y2 = rng.sample(range(5), 2)
-        idx.append(StateArray.linear_index(x, y1, z))
-        idx.append(StateArray.linear_index(x, y2, z))
+        idx.append(oracle.linear_index(x, y1, z))
+        idx.append(oracle.linear_index(x, y2, z))
     # Duplicate picks cancel; reduce to the odd-multiplicity set.
     odd = {i for i in idx if idx.count(i) % 2 == 1}
     sa = StateArray.zeros().with_flips(odd)
@@ -275,10 +278,10 @@ def test_chi_all_32_rows():
     table = {}
     for m in range(32):
         bits = tuple((m >> x) & 1 for x in range(5))
-        idx = [StateArray.linear_index(x, 0, 0) for x in range(5) if bits[x]]
+        idx = [oracle.linear_index(x, 0, 0) for x in range(5) if bits[x]]
         sa = StateArray.zeros().with_flips(idx)
         out = chi(sa)
-        got = tuple(out.bit(x, 0, 0) for x in range(5))
+        got = tuple(oracle.lane_bit(out.lanes, x, 0, 0) for x in range(5))
         assert got == chi_row_reference(bits)
         assert out == from_oracle(oracle.chi(oracle_state(sa)))
         key = "".join(map(str, bits))
@@ -290,14 +293,14 @@ def test_chi_all_32_rows():
 
 def test_chi_is_row_local():
     # Bits outside row (0, 0) stay untouched when only that row is set.
-    sa = StateArray.zeros().with_flips([StateArray.linear_index(0, 0, 0)])
+    sa = StateArray.zeros().with_flips([oracle.linear_index(0, 0, 0)])
     out = chi(sa)
     for y in range(5):
         for z in range(64):
             if (y, z) == (0, 0):
                 continue
             for x in range(5):
-                assert out.bit(x, y, z) == 0
+                assert oracle.lane_bit(out.lanes, x, y, z) == 0
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_iota_only_touches_origin_lane():
 
 def test_iota_round_zero_flips_bit_zero():
     out = iota(StateArray.zeros(), 0)
-    assert out.bit(0, 0, 0) == 1
+    assert oracle.lane_bit(out.lanes, 0, 0, 0) == 1
     assert sum(out.lanes) == 1
 
 
