@@ -70,7 +70,7 @@ from .engine import UNROLL_FACTORS
 # inject_and_run runs one trial alone; the benchmark's tracer wraps it here
 from .faults import REGISTER_WIDTHS, inject_and_run, reference_run  # noqa: F401
 from .fd import SCHEMES, detectability_predicate
-from .keccak import NUM_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS
+from .keccak import NUM_ROUNDS, round_rows
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
 MAX_WITNESSES = 16
@@ -477,41 +477,8 @@ def _mc_chunk(args):
 #
 # A batch keeps the state of its rows as a (25, N) uint64 array, one
 # column per trial, in the layout of ``StateArray.lanes``: state bit b is
-# bit b % 64 of lane b // 64 (x + 5*y).
-
-_NEXT = np.array([1, 2, 3, 4, 0])          # x + 1
-_PREV = np.array([4, 0, 1, 2, 3])          # x - 1
-_NEXT2 = np.array([2, 3, 4, 0, 1])         # x + 2
-_ROUND_CONSTANTS = np.array(ROUND_CONSTANTS, dtype=np.uint64)
-
-
-def _rho_pi_gather():
-    """Source lane and rotation of every output lane of rho-pi, which moves
-    lane (x, y) to (y, 2x + 3y)."""
-    src = np.empty(25, dtype=np.intp)
-    for x in range(5):
-        for y in range(5):
-            src[y + 5 * ((2 * x + 3 * y) % 5)] = x + 5 * y
-    return src, np.array(RHO_OFFSETS, dtype=np.uint64)[src, None]
-
-
-_PI_SRC, _PI_ROT = _rho_pi_gather()
-
-
-def _rotl(v, n):
-    return v << n | v >> (64 - n) % 64
-
-
-def _round_rows(a, r: int):
-    """``keccak.round_step`` on every column of a (25, N) state batch."""
-    rows = a.reshape(5, 5, -1)                      # [y, x, trial]
-    c = np.bitwise_xor.reduce(rows, axis=0)         # theta's column sums
-    b = (rows ^ (c[_PREV] ^ _rotl(c[_NEXT], 1))).reshape(25, -1)[_PI_SRC]
-    b = _rotl(b, _PI_ROT).reshape(5, 5, -1)
-    b ^= ~b[:, _NEXT] & b[:, _NEXT2]
-    b[0, 0] ^= _ROUND_CONSTANTS[r]
-    return b.reshape(25, -1)
-
+# bit b % 64 of lane b // 64 (x + 5*y).  That is the array
+# ``keccak.round_rows`` runs on, so the rows take the engine's own round.
 
 def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
     """Run one faulted copy of a single-permutation hash per pattern.
@@ -549,7 +516,7 @@ def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
     for slot in range(NUM_ROUNDS // unroll):
         a ^= np.where(at == slot, flips, 0)
         for r in range(slot * unroll, (slot + 1) * unroll):
-            a = _round_rows(a, r)
+            a = round_rows(a, r)
     out = digests.shape[1]
     lanes = np.ascontiguousarray(a[:-(-out // 8)].T).astype("<u8")
     digests[hit] = lanes.view(np.uint8)[:, :out]

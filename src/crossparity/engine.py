@@ -124,8 +124,8 @@ class Engine:
     last reset.  ``hook``, when set, is called at every commit window
     of every permutation as ``hook(engine, slot, state)``, after the
     detection unit primes and before the check, and returns the state the
-    check and the next rounds read; the fault campaigns flip bits and keep
-    checkpoints through it.  It is unset by default.
+    check and the next rounds read; the fault campaigns flip bits and
+    ``reference_run`` keeps entry states through it.  It is unset by default.
     """
 
     def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
@@ -275,6 +275,8 @@ class Engine:
         """Emit ``n`` digest bytes, each zero if the output is masked."""
         if self.phase != "squeezing":
             raise RuntimeError(f"cannot squeeze in phase {self.phase!r}")
+        if n < 0:
+            raise ValueError(f"cannot squeeze {n} bytes")
         out = bytearray()
         for _ in range(n):
             if self.ratecount == self.mode.rate_bytes:

@@ -6,6 +6,13 @@ state string (little-endian within the lane), so bit (x, y, z) has linear
 index 64*(5y+x) + z.  All external bit positions (fault targets, test
 vectors) use that linear index.
 
+The round is written once, on a (25, N) ``uint64`` array of N states, one
+per column, lane x + 5*y in row x + 5*y: ``round_rows`` composes
+``theta_rows``, ``rho_pi_rows``, ``chi_rows`` and ``iota_rows``.  The engine
+runs it on one column and the batched fault trials on many.  ``theta``,
+``rho_pi``, ``chi``, ``iota``, ``round_step`` and ``permute`` run it on a
+``StateArray`` as one column and return a ``StateArray``.
+
 The detection logic taps two parity values, each a plain int whose bit
 index is the index the rest of the package uses:
 
@@ -21,46 +28,24 @@ at check rounds, from the state it reads back out of the register.
 
 from __future__ import annotations
 
-MASK64 = (1 << 64) - 1
+from functools import reduce
+
+import numpy as np
+
 NUM_ROUNDS = 24
-
-
-def _rotl64(v: int, n: int) -> int:
-    n %= 64
-    return ((v << n) | (v >> (64 - n))) & MASK64
-
-
-def _compute_rho_offsets() -> tuple[int, ...]:
-    # Walk (x, y) <- (y, 2x+3y) starting from (1, 0); offset t is the
-    # triangular number (t+1)(t+2)/2 mod 64.
-    offsets = [0] * 25
-    x, y = 1, 0
-    for t in range(24):
-        offsets[x + 5 * y] = (t + 1) * (t + 2) // 2 % 64
-        x, y = y, (2 * x + 3 * y) % 5
-    return tuple(offsets)
 
 
 def _compute_round_constants() -> tuple[int, ...]:
     # One pass of the degree-8 LFSR x^8 + x^6 + x^5 + x^4 + 1; bit t of the
     # output stream feeds bit 2^j - 1 of round constant i, t = j + 7i.
-    stream = []
-    reg = 1
+    stream, reg = [], 1
     for _ in range(7 * NUM_ROUNDS):
         stream.append(reg & 1)
-        reg <<= 1
-        if reg & 0x100:
-            reg ^= 0x171
-    constants = []
-    for i in range(NUM_ROUNDS):
-        rc = 0
-        for j in range(7):
-            rc |= stream[j + 7 * i] << ((1 << j) - 1)
-        constants.append(rc)
-    return tuple(constants)
+        reg = reg << 1 ^ (0x171 if reg & 0x80 else 0)
+    return tuple(sum(stream[j + 7 * i] << (1 << j) - 1 for j in range(7))
+                 for i in range(NUM_ROUNDS))
 
 
-RHO_OFFSETS = _compute_rho_offsets()
 ROUND_CONSTANTS = _compute_round_constants()
 
 
@@ -110,15 +95,84 @@ class StateArray:
         return f"StateArray({self.to_bytes().hex()})"
 
 
-def _columns(lanes) -> list[int]:
-    """The five 64-bit column-sum lanes: bit z of entry x is C[x][z]."""
-    return [lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
-            for x in range(5)]
+# ----------------------------------------------------------------------
+# the round, on a (25, N) uint64 array of N states, one per column
+
+def _rho_pi_tables():
+    """Rho's rotation of each lane, and rho-pi's source of each output lane.
+
+    Pi moves lane (x, y) to (y, 2x+3y).  Walked from (1, 0), that map visits
+    the other 24 lanes, and rho rotates the t-th by (t+1)(t+2)/2 mod 64.
+    """
+    offsets, src = [0] * 25, [0] * 25
+    x, y = 1, 0
+    for t in range(24):
+        offsets[x + 5 * y] = (t + 1) * (t + 2) // 2 % 64
+        src[y + 5 * ((2 * x + 3 * y) % 5)] = x + 5 * y
+        x, y = y, (2 * x + 3 * y) % 5
+    return tuple(offsets), np.array(src)
+
+
+RHO_OFFSETS, _PI_SRC = _rho_pi_tables()
+_PI_LEFT = np.array(RHO_OFFSETS, dtype=np.uint64)[_PI_SRC, None]
+_PI_RIGHT = (64 - _PI_LEFT) % 64
+_NEXT = np.array([1, 2, 3, 4, 0])          # x + 1
+_PREV = np.array([4, 0, 1, 2, 3])          # x - 1
+_NEXT2 = np.array([2, 3, 4, 0, 1])         # x + 2
+_RC = np.array(ROUND_CONSTANTS, dtype=np.uint64)
+
+
+def _columns(a):
+    """The (5, N) column-sum lanes: bit z of entry x is C[x][z]."""
+    return np.bitwise_xor.reduce(a.reshape(5, 5, -1), axis=0)
+
+
+def theta_rows(a):
+    """Theta layer: D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64."""
+    c = _columns(a)
+    c_next = c.take(_NEXT, 0)
+    d = c.take(_PREV, 0) ^ (c_next << 1 | c_next >> 63)
+    return (a.reshape(5, 5, -1) ^ d).reshape(25, -1)
+
+
+def rho_pi_rows(a):
+    """Combined lane rotation and lane permutation: (x, y) -> (y, 2x+3y)."""
+    b = a.take(_PI_SRC, 0)
+    return b << _PI_LEFT | b >> _PI_RIGHT
+
+
+def chi_rows(a):
+    """Row-wise nonlinear layer: a[x] ^= ~a[x+1] & a[x+2]."""
+    b = a.reshape(5, 5, -1)
+    return (b ^ ~b.take(_NEXT, 1) & b.take(_NEXT2, 1)).reshape(25, -1)
+
+
+def iota_rows(a, round_index: int):
+    """XOR round constant ``round_index`` into lane 0 of every column."""
+    if not 0 <= round_index < NUM_ROUNDS:
+        raise ValueError(f"round index {round_index} out of range")
+    out = a.copy()
+    out[0] ^= _RC[round_index]
+    return out
+
+
+def round_rows(a, round_index: int):
+    """One full round on every column."""
+    return iota_rows(chi_rows(rho_pi_rows(theta_rows(a))), round_index)
+
+
+# ----------------------------------------------------------------------
+# the same steps on one StateArray, as a batch of one column
+
+def _one_column(step, state: StateArray, *args) -> StateArray:
+    a = step(np.array(state.lanes, np.uint64)[:, None], *args)
+    return StateArray(tuple(a[:, 0].tolist()))
 
 
 def column_sums(state: StateArray) -> int:
     """The C plane: bit 64*x + z is the parity of column (x, z)."""
-    return sum(c << 64 * x for x, c in enumerate(_columns(state.lanes)))
+    c = _columns(np.array(state.lanes, np.uint64))
+    return int.from_bytes(c.astype("<u8").tobytes(), "little")
 
 
 def lane_sums(state: StateArray) -> int:
@@ -127,49 +181,24 @@ def lane_sums(state: StateArray) -> int:
 
 
 def theta(state: StateArray) -> StateArray:
-    """Theta layer: D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64."""
-    l = state.lanes
-    c = _columns(l)
-    d = [c[(x - 1) % 5] ^ _rotl64(c[(x + 1) % 5], 1) for x in range(5)]
-    return StateArray(tuple(l[i] ^ d[i % 5] for i in range(25)))
+    return _one_column(theta_rows, state)
 
 
 def rho_pi(state: StateArray) -> StateArray:
-    """Combined lane rotation and lane permutation: (x, y) -> (y, 2x+3y)."""
-    l = state.lanes
-    out = [0] * 25
-    for x in range(5):
-        for y in range(5):
-            src = x + 5 * y
-            out[y + 5 * ((2 * x + 3 * y) % 5)] = _rotl64(l[src], RHO_OFFSETS[src])
-    return StateArray(tuple(out))
+    return _one_column(rho_pi_rows, state)
 
 
 def chi(state: StateArray) -> StateArray:
-    """Row-wise nonlinear layer: a[x] ^= ~a[x+1] & a[x+2]."""
-    l = state.lanes
-    out = []
-    for y in range(0, 25, 5):
-        row = l[y:y + 5]
-        out.extend(row[x] ^ (~row[(x + 1) % 5] & row[(x + 2) % 5]) & MASK64
-                   for x in range(5))
-    return StateArray(tuple(out))
+    return _one_column(chi_rows, state)
 
 
 def iota(state: StateArray, round_index: int) -> StateArray:
-    if not 0 <= round_index < NUM_ROUNDS:
-        raise ValueError(f"round index {round_index} out of range")
-    lanes = list(state.lanes)
-    lanes[0] ^= ROUND_CONSTANTS[round_index]
-    return StateArray(tuple(lanes))
+    return _one_column(iota_rows, state, round_index)
 
 
 def round_step(state: StateArray, round_index: int) -> StateArray:
-    """One full round."""
-    return iota(chi(rho_pi(theta(state))), round_index)
+    return _one_column(round_rows, state, round_index)
 
 
 def permute(state: StateArray) -> StateArray:
-    for i in range(NUM_ROUNDS):
-        state = round_step(state, i)
-    return state
+    return _one_column(lambda a: reduce(round_rows, range(NUM_ROUNDS), a), state)

@@ -32,7 +32,6 @@ from crossparity.campaigns import (
 )
 from crossparity.faults import FaultPattern, FaultTarget, InjectionSchedule, inject_and_run
 from crossparity.fd import SCHEMES, detectability_predicate
-from crossparity.keccak import MASK64, StateArray, round_step
 from oracle_fips202 import bit_coords, linear_index as idx
 
 
@@ -478,18 +477,6 @@ def test_mixed_scope_campaign_runs_the_engine():
 # ----------------------------------------------------------------------
 # engine-level trials as numpy rows
 
-def test_numpy_round_is_round_step():
-    rng = random.Random(31)
-    states = [StateArray.zeros(), StateArray((MASK64,) * 25),
-              StateArray.zeros().with_flips([rng.randrange(1600)])]
-    states += [StateArray(tuple(rng.getrandbits(64) for _ in range(25))) for _ in range(8)]
-    batch = np.array([s.lanes for s in states], dtype=np.uint64).T
-    for r in range(24):
-        got = campaigns._round_rows(batch, r)
-        assert [tuple(col) for col in got.T.tolist()] == \
-            [round_step(s, r).lanes for s in states], r
-
-
 def _outcome(flag, corrupted):
     if flag:
         return "detected" if corrupted else "spurious-error"
@@ -572,12 +559,12 @@ def test_rows_without_state_flips_run_no_rounds(monkeypatch):
     # Shadow flips never reach the state, so a shadow-only campaign runs no
     # round and every trial is a false alarm; in a mixed batch only the
     # rows with state flips run, and the others keep the fault-free digest.
-    real_round_rows = campaigns._round_rows
+    real_round_rows = campaigns.round_rows
 
     def no_rounds(a, r):
         raise AssertionError("a row without state flips ran a round")
 
-    monkeypatch.setattr(campaigns, "_round_rows", no_rounds)
+    monkeypatch.setattr(campaigns, "round_rows", no_rounds)
     rep = run_campaign(CampaignSpec(scheme="z-sheet", k=2, strategy="random", trials=50,
                                     seed=4, unroll=2,
                                     scope=("c_prime", "f_prime", "cf_prime")))
@@ -589,7 +576,7 @@ def test_rows_without_state_flips_run_no_rounds(monkeypatch):
         widths.append(a.shape[1])
         return real_round_rows(a, r)
 
-    monkeypatch.setattr(campaigns, "_round_rows", counted)
+    monkeypatch.setattr(campaigns, "round_rows", counted)
     reference = campaigns._fullsim_reference("z-sheet", 4)
     patterns = [[("c_prime", 3)], [("state", 9)], [("f_prime", 1), ("cf_prime", 4)],
                 [("cf_prime", 0), ("state", 1500)], [("c_prime", 319), ("f_prime", 24)]]

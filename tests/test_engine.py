@@ -266,6 +266,16 @@ def test_cannot_squeeze_before_finish():
         eng.squeeze_byte()
 
 
+def test_squeeze_rejects_a_negative_length():
+    eng = Engine("shake128")
+    eng.absorb(b"abc")
+    eng.finish()
+    with pytest.raises(ValueError, match="-3"):
+        eng.squeeze(-3)
+    assert eng.squeeze(0) == b""
+    assert eng.squeeze(16) == hashlib.shake_128(b"abc").digest(16)
+
+
 def test_cannot_absorb_after_finish():
     eng = Engine("sha3-256")
     eng.finish()
