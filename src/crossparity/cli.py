@@ -226,7 +226,12 @@ def cmd_campaign(args) -> int:
             w = ", ".join(f"{reg}[{bit}]" for reg, bit in report.witnesses[0])
             print(f"first undetected witness: {w}")
         if fh is not None:
-            json.dump([report.to_record()], fh, indent=2)
+            try:
+                json.dump([report.to_record()], fh, indent=2)
+                fh.close()              # a full disk may fail only at the flush
+            except OSError as exc:
+                print(f"cannot write the report: {exc}", file=sys.stderr)
+                return 2
             print(f"report written to {args.report}")
     return 0
 

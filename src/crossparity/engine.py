@@ -7,12 +7,14 @@ sit still.  Each cycle shifts one byte out of the low end and feeds
     new byte 167 = input byte XOR old byte 0,   new byte i = old byte i+1
 
 so after 168 cycles the register has made one full turn and input byte i
-has been XORed into state byte i.  Modes with a smaller rate absorb their
-block and then shift zero bytes until the turn completes, which leaves
-the capacity region untouched.  Squeezing emits byte 0 while shifting
-zeroes in, so the bytes come out in state order and a completed turn
-leaves the state exactly as a block-wise sponge would have it before the
-next permutation.
+has been XORed into state byte i.  The model advances n cycles at once:
+n input bytes d turn bytes 0..167 from s into s[n:168] + (s[:n] XOR d),
+which is exactly n cycles of the rule, and ``cycles`` counts each of them.
+Modes with a smaller rate absorb their block and then shift zero bytes
+until the turn completes, which leaves the capacity region untouched.
+Squeezing emits byte 0 while shifting zeroes in, so the bytes come out in
+state order and a completed turn leaves the state exactly as a block-wise
+sponge would have it before the next permutation.
 
 Padding is the usual domain-separated pad10*1, byte-granular, produced by
 a five-way selector: 0x06/0x1f (first pad byte), 0x00 (middle), 0x80
@@ -52,7 +54,7 @@ class ModeConfig:
     digest_bits: int | None     # None for the extendable-output modes
     domain: str                 # "sha3" or "shake"
 
-    @cached_property            # read on every shift cycle
+    @cached_property            # read on every shift step
     def rate_bytes(self) -> int:
         return self.rate_bits // 8
 
@@ -109,7 +111,10 @@ def pad(rate_bits: int, msg_bits: int, domain: str) -> bytes:
         raise ValueError("message must be byte-aligned")
     rate_bytes = rate_bits // 8
     n_pad = rate_bytes - (msg_bits // 8) % rate_bytes
-    return bytes(select_pad_byte(i, n_pad, domain) for i in range(n_pad))
+    out = bytearray(n_pad)              # middle bytes 0x00; one byte if n_pad == 1
+    out[0] = select_pad_byte(0, n_pad, domain)
+    out[-1] = select_pad_byte(n_pad - 1, n_pad, domain)
+    return bytes(out)
 
 
 class Engine:
@@ -155,11 +160,14 @@ class Engine:
     def state_bytes(self) -> bytes:
         return bytes(self._state)
 
-    def _shift(self, in_byte: int) -> None:
+    def _shift(self, data: bytes) -> None:
+        """Run ``len(data)`` cycles, at most one turn, feeding ``data`` in."""
+        n = len(data)
         s = self._state
-        first = s[0]
-        s[0:SHIFT_RATE_BYTES - 1] = s[1:SHIFT_RATE_BYTES]
-        s[SHIFT_RATE_BYTES - 1] = in_byte ^ first
+        fed = int.from_bytes(s[:n], "little") ^ int.from_bytes(data, "little")
+        s[:SHIFT_RATE_BYTES] = s[n:SHIFT_RATE_BYTES] + fed.to_bytes(n, "little")
+        self.ratecount += n
+        self.cycles += n
 
     # ------------------------------------------------------------------
     # absorb path
@@ -172,16 +180,11 @@ class Engine:
             raise RuntimeError("mode block full; zero-fill and permute first")
         if not 0 <= b <= 0xFF:
             raise ValueError("absorb one byte at a time")
-        self._shift(b)
-        self.ratecount += 1
-        self.cycles += 1
+        self._shift(bytes((b,)))
 
     def _fill_turn(self) -> None:
         """Shift zero bytes in until the register has made a full turn."""
-        while self.ratecount < SHIFT_RATE_BYTES:
-            self._shift(0)
-            self.ratecount += 1
-            self.cycles += 1
+        self._shift(bytes(SHIFT_RATE_BYTES - self.ratecount))
 
     def absorb_zero_fill(self) -> None:
         """Complete the current turn with zero bytes after a mode block."""
@@ -198,14 +201,18 @@ class Engine:
             self.run_permutation()
 
     def absorb(self, data: bytes) -> None:
+        """Absorb bytes or byte values, all checked before the first cycle."""
         if self.phase != "absorbing":
             raise RuntimeError(f"cannot absorb in phase {self.phase!r}")
+        # through list(): bytes(5) is five zero bytes, not a TypeError
+        data = data if isinstance(data, bytes) else bytes(list(data))
         self._end_block()
-        for b in data:
-            self.absorb_byte(b)
-            if self.ratecount == self.mode.rate_bytes:
-                self.absorb_zero_fill()
-                self.run_permutation()
+        pos = 0
+        while pos < len(data):
+            end = pos + self.mode.rate_bytes - self.ratecount
+            self._shift(data[pos:end])
+            pos = end
+            self._end_block()
 
     def finish(self) -> None:
         """Absorb the pad block and transition to squeezing."""
@@ -213,8 +220,7 @@ class Engine:
             raise RuntimeError(f"cannot finish in phase {self.phase!r}")
         self._end_block()
         self.phase = "padding"
-        for b in pad(self.mode.rate_bits, 8 * self.ratecount, self.mode.domain):
-            self.absorb_byte(b)
+        self._shift(pad(self.mode.rate_bits, 8 * self.ratecount, self.mode.domain))
         self.absorb_zero_fill()
         self.run_permutation()
         self.phase = "squeezing"
@@ -264,12 +270,7 @@ class Engine:
             raise RuntimeError(f"cannot squeeze in phase {self.phase!r}")
         if self.ratecount >= self.mode.rate_bytes:
             raise RuntimeError("mode block exhausted; refresh first")
-        b = self._state[0]
-        self._shift(0)
-        self.ratecount += 1
-        self.cycles += 1
-        self.squeezed.append(b)
-        return 0x00 if self.masked else b
+        return self.squeeze(1)[0]
 
     def squeeze(self, n: int) -> bytes:
         """Emit ``n`` digest bytes, each zero if the output is masked."""
@@ -278,11 +279,15 @@ class Engine:
         if n < 0:
             raise ValueError(f"cannot squeeze {n} bytes")
         out = bytearray()
-        for _ in range(n):
-            if self.ratecount == self.mode.rate_bytes:
+        rate = self.mode.rate_bytes
+        while len(out) < n:
+            if self.ratecount == rate:
                 self._fill_turn()
                 self.run_permutation()
-            out.append(self.squeeze_byte())
+            m = min(rate - self.ratecount, n - len(out))
+            self.squeezed += self._state[:m]
+            out += bytes(m) if self.masked else self._state[:m]
+            self._shift(bytes(m))
         return bytes(out)
 
     def resolve_out_len(self, out_len: int | None) -> int:

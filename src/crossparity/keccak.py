@@ -28,6 +28,7 @@ at check rounds, from the state it reads back out of the register.
 
 from __future__ import annotations
 
+import struct
 from functools import reduce
 
 import numpy as np
@@ -47,6 +48,7 @@ def _compute_round_constants() -> tuple[int, ...]:
 
 
 ROUND_CONSTANTS = _compute_round_constants()
+_LANES = struct.Struct("<25Q")       # the state string as 25 little-endian lanes
 
 
 class StateArray:
@@ -70,11 +72,10 @@ class StateArray:
     def from_bytes(cls, b: bytes) -> "StateArray":
         if len(b) != 200:
             raise ValueError("state string is 200 bytes")
-        return cls(tuple(int.from_bytes(b[8 * i:8 * i + 8], "little")
-                         for i in range(25)))
+        return cls(_LANES.unpack(b))
 
     def to_bytes(self) -> bytes:
-        return b"".join(l.to_bytes(8, "little") for l in self.lanes)
+        return _LANES.pack(*self.lanes)
 
     def with_flips(self, indices) -> "StateArray":
         """Return a copy with the given linear bit positions flipped."""

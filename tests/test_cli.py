@@ -340,6 +340,21 @@ def test_campaign_cli_bad_report_path_fails_before_the_campaign(tmp_path, capsys
     assert "No such file or directory" in err and str(bad) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_campaign_cli_failed_report_write_exits_2(capsys, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        rc = main(["campaign", "--k", "1", "--strategy", "exhaustive-global",
+                   "--report", "/dev/full"])
+        gc.collect()
+    assert rc == 2 and unraisable == []
+    captured = capsys.readouterr()
+    assert "cannot write the report: " in captured.err
+    assert "report written" not in captured.out
+
+
 def test_campaign_cli_with_a_pool_exits(tmp_path):
     # Two chunks on two workers start the kept pool.  The run must end
     # within the timeout, and it can only if no pool worker outlives the

@@ -195,6 +195,90 @@ def test_second_block_xors_into_rotated_state():
 
 
 # ----------------------------------------------------------------------
+# the n-cycle shift against the per-cycle rule
+
+def shift_one(state: bytearray, in_byte: int) -> None:
+    """One cycle: byte 0 leaves, in_byte XOR old byte 0 enters at 167."""
+    first = state[0]
+    state[0:SHIFT_RATE_BYTES - 1] = state[1:SHIFT_RATE_BYTES]
+    state[SHIFT_RATE_BYTES - 1] = in_byte ^ first
+
+
+def registers(eng):
+    return eng.state_bytes, eng.cycles, eng.ratecount, eng.permutation_index
+
+
+def pieces(draw, total):
+    """Random split points of range(total), as (start, end) pairs."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=6)))
+    bounds = [0, *cuts, total]
+    return list(zip(bounds, bounds[1:]))
+
+
+@given(st.binary(min_size=200, max_size=200), st.binary(max_size=SHIFT_RATE_BYTES))
+def test_n_cycle_shift_is_n_single_cycles(reg, data):
+    eng = Engine("shake128")
+    eng._state[:] = reg
+    eng._shift(data)
+    want = bytearray(reg)
+    for b in data:
+        shift_one(want, b)
+    assert eng.state_bytes == bytes(want)
+    assert eng.cycles == len(data) and eng.ratecount == len(data)
+
+
+@given(st.sampled_from(MODE_NAMES), st.binary(max_size=400), st.data())
+@settings(max_examples=40, deadline=None)
+def test_absorb_in_pieces_matches_one_call_and_single_bytes(mode, msg, data):
+    whole, parts, single = Engine(mode), Engine(mode), Engine(mode)
+    whole.absorb(msg)
+    rate = MODES[mode].rate_bytes
+    for start, end in pieces(data.draw, len(msg)):
+        parts.absorb(msg[start:end])
+        for b in msg[start:end]:
+            single.absorb_byte(b)
+            if single.ratecount == rate:
+                single.absorb_zero_fill()
+                single.run_permutation()
+        assert registers(parts) == registers(single)
+    assert registers(parts) == registers(whole)
+
+
+@given(st.sampled_from(["shake128", "shake256"]), st.integers(0, 400), st.data())
+@settings(max_examples=30, deadline=None)
+def test_squeeze_in_pieces_matches_single_bytes(mode, n, data):
+    flag_at = data.draw(st.sampled_from([None, 0, 1, 2]))   # permutation that flips a bit
+
+    def engine():
+        eng = Engine(mode, fd="z-sheet")
+        if flag_at is not None:
+            def hook(e, slot, state):
+                return state.with_flips([7]) if e.permutation_index == flag_at \
+                    and slot == 0 else state
+            eng.hook = hook
+        eng.absorb(b"squeezed in pieces")
+        eng.finish()
+        return eng
+
+    parts, single = engine(), engine()
+    rate = MODES[mode].rate_bytes
+    got, want = bytearray(), bytearray()
+    for start, end in pieces(data.draw, n):
+        got += parts.squeeze(end - start)
+        for _ in range(start, end):
+            if single.ratecount == rate:
+                single._fill_turn()
+                single.run_permutation()
+            want.append(single.squeeze_byte())
+        assert (got, parts.squeezed, parts.cycles) == (want, single.squeezed, single.cycles)
+    # the flag rises in permutation flag_at, which runs before byte flag_at * rate
+    clean = reference_digest(mode, b"squeezed in pieces", n)
+    flag_byte = n if flag_at is None else min(n, flag_at * rate)
+    assert got == clean[:flag_byte] + bytes(n - flag_byte)
+    assert parts.masked == (flag_at == 0 or flag_byte < n)
+
+
+# ----------------------------------------------------------------------
 # digests match hashlib and the block-sponge oracle
 
 BOUNDARY_LENGTHS = (0, 1, 71, 72, 73, 135, 136, 137, 143, 144, 145, 167, 168, 169, 300)
@@ -289,6 +373,22 @@ def test_absorb_byte_range_check():
     eng = Engine("sha3-256")
     with pytest.raises(ValueError):
         eng.absorb_byte(256)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([1, 2, 300], ValueError), ([1, -1], ValueError), ("abc", TypeError),
+    ([1, "a"], TypeError), (5, TypeError), ([1.0], TypeError)])
+def test_refused_absorb_leaves_the_registers_as_they_were(bad, error):
+    eng = Engine("sha3-256")
+    eng.absorb(bytes(135))
+    eng.absorb_byte(1)              # a full mode block, not yet permuted
+    before = registers(eng)
+    with pytest.raises(error):
+        eng.absorb(bad)
+    assert registers(eng) == before
+    eng.absorb([2, 3])
+    eng.finish()
+    assert eng.squeeze(32) == hashlib.sha3_256(bytes(135) + b"\x01\x02\x03").digest()
 
 
 def test_zero_fill_requires_completed_block():
