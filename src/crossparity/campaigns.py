@@ -70,7 +70,7 @@ from .engine import UNROLL_FACTORS
 # inject_and_run runs one trial alone; the benchmark's tracer wraps it here
 from .faults import REGISTER_WIDTHS, inject_and_run, reference_run  # noqa: F401
 from .fd import SCHEMES, detectability_predicate
-from .keccak import NUM_ROUNDS, round_rows
+from .keccak import NUM_ROUNDS, round_step
 
 WORKERS_ENV = "CROSSPARITY_WORKERS"
 MAX_WITNESSES = 16
@@ -478,7 +478,8 @@ def _mc_chunk(args):
 # A batch keeps the state of its rows as a (25, N) uint64 array, one
 # column per trial, in the layout of ``StateArray.lanes``: state bit b is
 # bit b % 64 of lane b // 64 (x + 5*y).  That is the array
-# ``keccak.round_rows`` runs on, so the rows take the engine's own round.
+# ``keccak.round_step`` runs on, and the engine's state is one such column,
+# so the rows take the engine's own round.
 
 def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
     """Run one faulted copy of a single-permutation hash per pattern.
@@ -512,11 +513,11 @@ def _run_batch(reference, scheme: str, unroll: int, patterns, slots):
         for bit in state[row]:
             flips[bit // 64, col] ^= 1 << bit % 64
     at = np.asarray(slots)[hit]
-    a = np.repeat(np.array(reference.entries[0].lanes, np.uint64)[:, None], len(hit), axis=1)
+    a = np.repeat(reference.entries[0], len(hit), axis=1)
     for slot in range(NUM_ROUNDS // unroll):
         a ^= np.where(at == slot, flips, 0)
         for r in range(slot * unroll, (slot + 1) * unroll):
-            a = round_rows(a, r)
+            a = round_step(a, r)
     out = digests.shape[1]
     lanes = np.ascontiguousarray(a[:-(-out // 8)].T).astype("<u8")
     digests[hit] = lanes.view(np.uint8)[:, :out]

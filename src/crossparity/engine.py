@@ -22,13 +22,16 @@ a five-way selector: 0x06/0x1f (first pad byte), 0x00 (middle), 0x80
 string ``pad`` returns.
 
 The permutation runs 24 rounds in groups of ``unroll`` rounds per
-register commit.  If a detection unit is attached it is primed from the
-register at permutation entry and after every commit, and at every
-group's first round the column sums (and, under z-sheet, the lane sums)
-of the state read back from the register are checked against the last
-prime, so each commit window is covered.  The sums are computed only at
-these check rounds.  During absorb/squeeze shifting the shadows go stale
-and are invalidated.
+register commit, on the state read once out of the register as one
+(25, 1) ``uint64`` column (``keccak.round_step``'s layout) and written
+back once at the end.  If a detection unit is attached it is primed at
+permutation entry and after every commit, and at every group's first
+round the column sums (and, under z-sheet, the lane sums) of the state
+that group reads are checked against the last prime, so each commit
+window is covered.  The sums are computed once per window, by the prime,
+and the check reads those same values; only when a hook is set are they
+recomputed after it runs, so that any flip it makes is seen.  During
+absorb/squeeze shifting the shadows go stale and are invalidated.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .fd import FdRegisters
-from .keccak import NUM_ROUNDS, StateArray, column_sums, lane_sums, round_step
+from .keccak import NUM_ROUNDS, round_step
 
 STATE_BYTES = 200
 SHIFT_RATE_BYTES = 168        # shared shift-register width in bytes
@@ -128,9 +133,12 @@ class Engine:
     up, and ``squeezed`` keeps the ungated bytes shifted out since the
     last reset.  ``hook``, when set, is called at every commit window
     of every permutation as ``hook(engine, slot, state)``, after the
-    detection unit primes and before the check, and returns the state the
-    check and the next rounds read; the fault campaigns flip bits and
-    ``reference_run`` keeps entry states through it.  It is unset by default.
+    detection unit primes and before the check.  ``state`` is the (25, 1)
+    ``uint64`` column of lanes the permutation runs on; the hook returns
+    the column the check and the next rounds read, a new array if it
+    changes the state, never a write into the one it was given.  The fault
+    campaigns flip bits and ``reference_run`` keeps entry states through
+    it.  It is unset by default.
     """
 
     def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
@@ -240,24 +248,25 @@ class Engine:
             raise RuntimeError("permutation requires a completed 168-byte turn")
         outer_phase = self.phase
         self.phase = "permuting"
-        sa = StateArray.from_bytes(bytes(self._state))
-        fd = self.fd
+        a = np.frombuffer(bytes(self._state), "<u8").reshape(25, 1)
+        fd, hook = self.fd, self.hook
         if fd is not None:
-            fd.prime(sa)
-            lanes = fd.scheme == "z-sheet"
+            sums = fd.prime(a)
         for slot in range(NUM_ROUNDS // self.unroll):
-            if self.hook is not None:
-                sa = self.hook(self, slot, sa)
+            if hook is not None:
+                a = hook(self, slot, a)
+                if fd is not None:
+                    sums = fd.sums(a)
             if fd is not None:
-                fd.check(column_sums(sa), lane_sums(sa) if lanes else 0)
+                fd.check(*sums)
             for r in range(slot * self.unroll, (slot + 1) * self.unroll):
-                sa = round_step(sa, r)
+                a = round_step(a, r)
             self.cycles += 1
             if fd is not None:
-                fd.prime(sa)
+                sums = fd.prime(a)
         if fd is not None:
             fd.invalidate()
-        self._state[:] = sa.to_bytes()
+        self._state[:] = a.astype("<u8").tobytes()
         self.ratecount = 0
         self.permutation_index += 1
         self.phase = outer_phase
@@ -266,10 +275,7 @@ class Engine:
     # squeeze path
 
     def squeeze_byte(self) -> int:
-        if self.phase != "squeezing":
-            raise RuntimeError(f"cannot squeeze in phase {self.phase!r}")
-        if self.ratecount >= self.mode.rate_bytes:
-            raise RuntimeError("mode block exhausted; refresh first")
+        """Emit one digest byte, refreshing the block first as ``squeeze`` does."""
         return self.squeeze(1)[0]
 
     def squeeze(self, n: int) -> bytes:

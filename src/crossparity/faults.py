@@ -17,24 +17,30 @@ Outcomes of an injected run, judged against the fault-free digest:
 * ``silent-corruption`` no error, wrong digest
 * ``benign``            no error, digest unaffected
 
-Faults reach the engine only through its commit-window hook, and
-``flip_hook`` builds the one that flips a pattern.  ``inject_and_run``
-runs one hash once from the start with that hook; given no fault-free
-digest, it first takes the digest of a ``reference_run``.  A
-``ReferenceRun`` is one fault-free run with the detection unit attached,
-which must end with the error flag down; it keeps the digest and the
-entry state of each permutation.  The engine-level campaigns take from it
-the digest of their trials without state flips and the state the others
-start from (see ``campaigns``).
+Faults reach the engine only through its commit-window hook, which takes
+and returns the (25, 1) ``uint64`` column of lanes the permutation runs
+on.  ``flip_hook`` builds the one that flips a pattern: it XORs a flip
+column built once from the pattern's state bits, flips the shadow bits in
+the detection unit's registers, and the engine then recomputes the sums
+its check reads.  ``inject_and_run`` runs one hash once from the start
+with that hook; given no fault-free digest, it first takes the digest of
+a ``reference_run``.  A ``ReferenceRun`` is one fault-free run with the
+detection unit attached, which must end with the error flag down; it
+keeps the digest and the entry state of each permutation as a (25, 1)
+column.  The engine-level campaigns take from it the digest of their
+trials without state flips and the column the others start from (see
+``campaigns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .engine import Engine
 from .fd import SHADOW_WIDTHS
-from .keccak import NUM_ROUNDS, StateArray
+from .keccak import NUM_ROUNDS
 
 REGISTER_WIDTHS = {"state": 1600, **SHADOW_WIDTHS}
 
@@ -115,9 +121,10 @@ class InjectionResult:
 @dataclass(frozen=True)
 class ReferenceRun:
     """A fault-free run with the detection unit attached: the entry state
-    of each permutation, in run order, and the digest."""
+    of each permutation, in run order, as a (25, 1) ``uint64`` column, and
+    the digest."""
 
-    entries: tuple[StateArray, ...] = field(repr=False)
+    entries: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     digest: bytes
 
 
@@ -126,17 +133,19 @@ def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
     window: state bits in the state the check reads, shadow bits in the
     detection unit's registers."""
     window = (schedule.permutation_index, schedule.commit_slot)
-    state_bits = pattern.state_bits
+    flips = np.zeros((25, 1), np.uint64)
+    for bit in pattern.state_bits:
+        flips[bit // 64] ^= 1 << bit % 64
     shadow = [t for t in pattern.targets if t.register != "state"]
 
-    def hook(eng: Engine, slot: int, state: StateArray) -> StateArray:
+    def hook(eng: Engine, slot: int, state: np.ndarray) -> np.ndarray:
         if (eng.permutation_index, slot) != window:
             return state
         if shadow and eng.fd is None:
             raise RuntimeError("shadow-register fault without detection attached")
         for t in shadow:
             eng.fd.flip(t.register, t.bit)
-        return state.with_flips(state_bits)
+        return state ^ flips
     return hook
 
 
@@ -148,7 +157,7 @@ def reference_run(mode: str, message: bytes, scheme: str = "z-sheet", unroll: in
     n = eng.resolve_out_len(out_len)
     entries = []
 
-    def keep(eng: Engine, slot: int, state: StateArray) -> StateArray:
+    def keep(eng: Engine, slot: int, state: np.ndarray) -> np.ndarray:
         if slot == 0:
             entries.append(state)
         return state

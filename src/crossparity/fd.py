@@ -16,9 +16,11 @@ Two protection levels over the 1600-bit state:
 
 Every shadow is a plain int in the layout of the value it copies (see
 ``keccak``): C' has bit 64*x + z, F' bit x + 5*y and C'_F bit x, so a
-fault target's bit index is the register bit it flips.  The engine
-computes the column sums at each check round, and the lane sums only
-under z-sheet.
+fault target's bit index is the register bit it flips.  The engine taps
+each commit window once: ``prime`` computes the column sums (and, under
+z-sheet only, the lane sums) of the committed state, latches them and
+returns them, and the next check compares those same values, recomputed
+with ``sums`` only when the engine's hook may have changed the state.
 
 The error flag is sticky until the engine is reset, and it is the
 engine's output gate: every digest byte squeezed after the flag goes up
@@ -30,7 +32,7 @@ state and the shadows of one window can cancel in the compare (see
 
 from __future__ import annotations
 
-from .keccak import StateArray, column_sums, lane_sums
+from .keccak import column_sums, lane_sums
 
 SCHEMES = ("c-plane", "z-sheet")
 
@@ -66,12 +68,20 @@ class FdRegisters:
         self.primed = False
         self.error = False
 
-    def prime(self, committed: StateArray) -> None:
-        self.c_prime = column_sums(committed)
+    def sums(self, state) -> tuple[int, int]:
+        """The C plane and the F slice of a ``StateArray`` or (25, 1)
+        column, as ``check`` takes them; the F slice is 0 under c-plane."""
+        return column_sums(state), lane_sums(state) if self.scheme == "z-sheet" else 0
+
+    def prime(self, committed) -> tuple[int, int]:
+        """Latch the sums of a committed state and return them."""
+        c, f = self.sums(committed)
+        self.c_prime = c
         if self.scheme == "z-sheet":
-            self.f_prime = lane_sums(committed)
-            self.cf_prime = _f_column_parities(self.f_prime)
+            self.f_prime = f
+            self.cf_prime = _f_column_parities(f)
         self.primed = True
+        return c, f
 
     def invalidate(self) -> None:
         self.primed = False

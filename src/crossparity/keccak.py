@@ -7,11 +7,12 @@ index 64*(5y+x) + z.  All external bit positions (fault targets, test
 vectors) use that linear index.
 
 The round is written once, on a (25, N) ``uint64`` array of N states, one
-per column, lane x + 5*y in row x + 5*y: ``round_rows`` composes
+per column, lane x + 5*y in row x + 5*y: ``round_step`` composes
 ``theta_rows``, ``rho_pi_rows``, ``chi_rows`` and ``iota_rows``.  The engine
-runs it on one column and the batched fault trials on many.  ``theta``,
-``rho_pi``, ``chi``, ``iota``, ``round_step`` and ``permute`` run it on a
-``StateArray`` as one column and return a ``StateArray``.
+keeps its state in one (25, 1) column for a whole permutation and the
+batched fault trials run many columns.  ``theta``, ``rho_pi``, ``chi``,
+``iota`` and ``permute`` run it on a ``StateArray`` as one column and return
+a ``StateArray``.
 
 The detection logic taps two parity values, each a plain int whose bit
 index is the index the rest of the package uses:
@@ -22,8 +23,9 @@ index is the index the rest of the package uses:
 * the F slice, ``lane_sums``: the lane parities F[x][y], 25 bits with
   bit x + 5*y (the ``f_prime`` fault target and the lane id i // 64).
 
-The round function returns only the state.  The engine reads the taps
-at check rounds, from the state it reads back out of the register.
+Both take a ``StateArray`` or a (25, 1) column.  The round function returns
+only the state; the engine taps each commit window once, from the column
+it commits.
 """
 
 from __future__ import annotations
@@ -157,28 +159,36 @@ def iota_rows(a, round_index: int):
     return out
 
 
-def round_rows(a, round_index: int):
+def round_step(a, round_index: int):
     """One full round on every column."""
     return iota_rows(chi_rows(rho_pi_rows(theta_rows(a))), round_index)
 
 
 # ----------------------------------------------------------------------
-# the same steps on one StateArray, as a batch of one column
+# the parity taps of one state, and the steps on one StateArray
+
+def _column(state):
+    """A ``StateArray`` as a (25, 1) column; a column as it is."""
+    if isinstance(state, StateArray):
+        return np.array(state.lanes, np.uint64)[:, None]
+    return state
+
 
 def _one_column(step, state: StateArray, *args) -> StateArray:
-    a = step(np.array(state.lanes, np.uint64)[:, None], *args)
+    a = step(_column(state), *args)
     return StateArray(tuple(a[:, 0].tolist()))
 
 
-def column_sums(state: StateArray) -> int:
+def column_sums(state) -> int:
     """The C plane: bit 64*x + z is the parity of column (x, z)."""
-    c = _columns(np.array(state.lanes, np.uint64))
+    c = _columns(_column(state))
     return int.from_bytes(c.astype("<u8").tobytes(), "little")
 
 
-def lane_sums(state: StateArray) -> int:
+def lane_sums(state) -> int:
     """The F slice: bit x + 5*y is the parity of lane (x, y)."""
-    return sum((lane.bit_count() & 1) << i for i, lane in enumerate(state.lanes))
+    odd = np.bitwise_count(_column(state)[:, 0]) & 1
+    return int.from_bytes(np.packbits(odd, bitorder="little").tobytes(), "little")
 
 
 def theta(state: StateArray) -> StateArray:
@@ -197,9 +207,5 @@ def iota(state: StateArray, round_index: int) -> StateArray:
     return _one_column(iota_rows, state, round_index)
 
 
-def round_step(state: StateArray, round_index: int) -> StateArray:
-    return _one_column(round_rows, state, round_index)
-
-
 def permute(state: StateArray) -> StateArray:
-    return _one_column(lambda a: reduce(round_rows, range(NUM_ROUNDS), a), state)
+    return _one_column(lambda a: reduce(round_step, range(NUM_ROUNDS), a), state)

@@ -4,12 +4,15 @@ This module is the independent check for the package under test.  It is
 deliberately naive: the state is a dict keyed by (x, y), rho and pi are
 separate passes, the rho offsets come from the (t+1)(t+2)/2 walk, and the
 round constants come from the rc(t) LFSR of Algorithm 5.  Nothing here is
-shared with src/ and nothing is optimised.
+shared with src/ and nothing is optimised, except that each round
+constant is computed by Algorithm 5 once and then remembered.
 
 Conventions (FIPS 202 section 3.1.2): lane (x, y) occupies bytes
 8*(5y+x) .. 8*(5y+x)+7 of the 200-byte state string, little-endian, so
 bit (x, y, z) has linear index 64*(5y+x) + z.
 """
+
+from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 
@@ -93,6 +96,7 @@ def _rc_bit(t):
     return (r >> 7) & 1
 
 
+@lru_cache(maxsize=None)
 def round_constant(ir):
     rc = 0
     for j in range(7):

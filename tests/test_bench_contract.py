@@ -89,3 +89,15 @@ def test_bench_scripts_read_existing_names(script):
         for attr in attrs:
             assert hasattr(obj, attr), f"bench/{script} reads {chain}, which is gone"
             obj = getattr(obj, attr)
+
+
+def test_bench_layers_run_on_the_package(monkeypatch):
+    # bench/layers.py calls prime, check and the StateArray steps with its
+    # own arguments; a signature it no longer fits fails here, not as a
+    # crash of the traced benchmark run.
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    figures, failed = layers.fd_layers(1)
+    figures.update(layers.keccak_layers(1))
+    assert failed == 0
+    assert figures and None not in figures.values(), figures

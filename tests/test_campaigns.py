@@ -559,12 +559,12 @@ def test_rows_without_state_flips_run_no_rounds(monkeypatch):
     # Shadow flips never reach the state, so a shadow-only campaign runs no
     # round and every trial is a false alarm; in a mixed batch only the
     # rows with state flips run, and the others keep the fault-free digest.
-    real_round_rows = campaigns.round_rows
+    real_round_step = campaigns.round_step
 
     def no_rounds(a, r):
         raise AssertionError("a row without state flips ran a round")
 
-    monkeypatch.setattr(campaigns, "round_rows", no_rounds)
+    monkeypatch.setattr(campaigns, "round_step", no_rounds)
     rep = run_campaign(CampaignSpec(scheme="z-sheet", k=2, strategy="random", trials=50,
                                     seed=4, unroll=2,
                                     scope=("c_prime", "f_prime", "cf_prime")))
@@ -574,9 +574,9 @@ def test_rows_without_state_flips_run_no_rounds(monkeypatch):
 
     def counted(a, r):
         widths.append(a.shape[1])
-        return real_round_rows(a, r)
+        return real_round_step(a, r)
 
-    monkeypatch.setattr(campaigns, "round_rows", counted)
+    monkeypatch.setattr(campaigns, "round_step", counted)
     reference = campaigns._fullsim_reference("z-sheet", 4)
     patterns = [[("c_prime", 3)], [("state", 9)], [("f_prime", 1), ("cf_prime", 4)],
                 [("cf_prime", 0), ("state", 1500)], [("c_prime", 319), ("f_prime", 24)]]
@@ -831,3 +831,20 @@ def test_fingerprints_fold_escapes_to_zero(scheme):
     for witness in undetected_census(4, scheme).witnesses:
         fold = np.bitwise_xor.reduce(fp[[bit for _, bit in witness]])
         assert fold == 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_rows_all_even_matches_counting(k):
+    # A row is all-even iff each of its values occurs an even number of
+    # times, which odd k never is: a row of one value repeated k times is
+    # all-even for even k only.
+    rng = np.random.default_rng(k)
+    mat = rng.integers(0, 3, size=(200, k))
+    mat[0] = 7
+    mat[1, :] = np.arange(k) // 2
+    want = [all(n % 2 == 0 for n in np.unique(row, return_counts=True)[1]) for row in mat]
+    got = campaigns._rows_all_even(mat)
+    assert got.shape == (200,) and got.tolist() == want
+    assert got[0] == (k % 2 == 0) and got[1] == (k % 2 == 0)
+    if k % 2 == 0:
+        assert 0 < got.sum() < 200

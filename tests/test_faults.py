@@ -7,6 +7,7 @@ checks the outcome classification against the fault-free digest.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from crossparity.campaigns import _run_batch
@@ -302,8 +303,9 @@ def test_reference_run_must_end_with_the_flag_down(monkeypatch):
     real_prime = FdRegisters.prime
 
     def bad_prime(self, committed):
-        real_prime(self, committed)
+        sums = real_prime(self, committed)
         self.c_prime ^= 1
+        return sums
 
     monkeypatch.setattr(FdRegisters, "prime", bad_prime)
     with pytest.raises(RuntimeError, match="reference run raised the error flag"):
@@ -317,7 +319,8 @@ def test_batch_refuses_a_multi_permutation_reference():
     msg = bytes(range(136))
     ref = reference_run("sha3-256", msg)
     assert ref.digest == hashlib.sha3_256(msg).digest()
-    assert len(ref.entries) == 2 and ref.entries[0] != ref.entries[1]
+    assert len(ref.entries) == 2 and not np.array_equal(*ref.entries)
+    assert all(e.shape == (25, 1) and e.dtype == np.uint64 for e in ref.entries)
     with pytest.raises(ValueError, match="one permutation, not 2"):
         _run_batch(ref, "z-sheet", 1, [[("state", 1)]], [0])
 

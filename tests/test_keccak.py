@@ -25,7 +25,6 @@ from crossparity.keccak import (
     lane_sums,
     permute,
     rho_pi,
-    round_rows,
     round_step,
     theta,
 )
@@ -65,6 +64,15 @@ def oracle_state(sa: StateArray):
 
 def from_oracle(a) -> StateArray:
     return StateArray.from_bytes(oracle.state_to_bytes(a))
+
+
+def column(sa: StateArray):
+    """The state as the (25, 1) column ``round_step`` runs on."""
+    return np.array(sa.lanes, np.uint64)[:, None]
+
+
+def from_column(a) -> StateArray:
+    return StateArray(tuple(a[:, 0].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +177,7 @@ def test_parity_taps_match_brute_force(raw):
     sa = StateArray.from_bytes(raw)
     c = column_sums(sa)
     f = lane_sums(sa)
+    assert (column_sums(column(sa)), lane_sums(column(sa))) == (c, f)
     rng = random.Random(len(raw))
     for _ in range(25):
         x, z = rng.randrange(5), rng.randrange(64)
@@ -326,8 +335,8 @@ def test_iota_rejects_bad_round():
     # numpy would read round -1 as the last constant, so the kernel checks
     zeros = StateArray.zeros()
     for rnd in (-1, NUM_ROUNDS):
-        for step in (lambda: iota(zeros, rnd), lambda: round_step(zeros, rnd),
-                     lambda: round_rows(np.zeros((25, 3), np.uint64), rnd)):
+        for step in (lambda: iota(zeros, rnd), lambda: round_step(column(zeros), rnd),
+                     lambda: round_step(np.zeros((25, 3), np.uint64), rnd)):
             with pytest.raises(ValueError, match=f"round index {rnd} out of range"):
                 step()
 
@@ -340,22 +349,23 @@ def test_iota_rejects_bad_round():
 def test_round_step_matches_oracle_round(seed):
     sa = random_state(seed)
     for rnd in (0, 7, 23):
-        assert round_step(sa, rnd) == from_oracle(oracle.keccak_round(oracle_state(sa), rnd))
+        got = from_column(round_step(column(sa), rnd))
+        assert got == from_oracle(oracle.keccak_round(oracle_state(sa), rnd))
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_permute_matches_chained_rounds_and_oracle(seed):
     sa = random_state(seed)
-    cur = sa
+    cur = column(sa)
     for rnd in range(NUM_ROUNDS):
         cur = round_step(cur, rnd)
     out = permute(sa)
-    assert out == cur
+    assert out == from_column(cur)
     assert out.to_bytes() == oracle.keccak_f1600(sa.to_bytes())
 
 
-def test_round_rows_matches_oracle_per_column():
+def test_round_step_matches_oracle_per_column():
     # Each column of a batch is its own state: it must match the oracle's
     # round and the same state run as a batch of one column.
     rng = random.Random(31)
@@ -365,12 +375,12 @@ def test_round_rows_matches_oracle_per_column():
     batch = np.array([s.lanes for s in states], dtype=np.uint64).T
     before = batch.copy()
     for rnd in range(NUM_ROUNDS):
-        got = round_rows(batch, rnd)
+        got = round_step(batch, rnd)
         assert got.shape == batch.shape
         for col, sa in enumerate(states):
             want = from_oracle(oracle.keccak_round(oracle_state(sa), rnd))
-            assert StateArray(tuple(got[:, col].tolist())) == want, (rnd, col)
-            assert np.array_equal(round_rows(batch[:, col:col + 1], rnd)[:, 0], got[:, col])
+            assert from_column(got[:, col:col + 1]) == want, (rnd, col)
+            assert np.array_equal(round_step(batch[:, col:col + 1], rnd)[:, 0], got[:, col])
     assert np.array_equal(batch, before)
 
 
