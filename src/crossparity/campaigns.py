@@ -103,7 +103,7 @@ _FULLSIM_MODE = "sha3-256"
 _FULLSIM_MESSAGE = b"engine-level fault campaign"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CampaignSpec:
     scheme: str
     k: int
@@ -151,7 +151,7 @@ class CampaignSpec:
             raise ValueError("shadow-register scopes require the random strategy")
 
 
-@dataclass
+@dataclass(slots=True)
 class CampaignReport:
     scheme: str
     unroll: int
@@ -191,7 +191,7 @@ class CampaignReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusResult:
     k: int
     scheme: str

@@ -25,12 +25,15 @@ The permutation runs 24 rounds in groups of ``unroll`` rounds per
 register commit, on the state read once out of the register as one
 (25, 1) ``uint64`` column (``keccak.round_step``'s layout) and written
 back once at the end.  If a detection unit is attached it is primed at
-permutation entry and after every commit, and at every group's first
-round the column sums (and, under z-sheet, the lane sums) of the state
-that group reads are checked against the last prime, so each commit
-window is covered.  The sums are computed once per window, by the prime,
-and the check reads those same values; only when a hook is set are they
-recomputed after it runs, so that any flip it makes is seen.  During
+permutation entry and after every commit but the last, and at every
+group's first round the column sums (and, under z-sheet, the lane sums)
+of the state that group reads are checked against the last prime, so
+each of the 24/unroll commit windows is covered by one prime and one
+check.  The sums are computed once per window, by the prime: the check
+reads its parities and the group's first theta reads its column-sum
+lanes.  They are computed again only when the hook returns a different
+column than it was given, and then only the check and theta read them;
+the shadows keep what the prime latched, so the flip is seen.  During
 absorb/squeeze shifting the shadows go stale and are invalidated.
 """
 
@@ -133,12 +136,13 @@ class Engine:
     up, and ``squeezed`` keeps the ungated bytes shifted out since the
     last reset.  ``hook``, when set, is called at every commit window
     of every permutation as ``hook(engine, slot, state)``, after the
-    detection unit primes and before the check.  ``state`` is the (25, 1)
-    ``uint64`` column of lanes the permutation runs on; the hook returns
-    the column the check and the next rounds read, a new array if it
-    changes the state, never a write into the one it was given.  The fault
-    campaigns flip bits and ``reference_run`` keeps entry states through
-    it.  It is unset by default.
+    detection unit primes and before the check.  ``state`` is the
+    read-only (25, 1) ``uint64`` column of lanes the permutation runs on;
+    the hook returns the column the check and the next rounds read: the
+    one it was given, or a new array if it changes the state.  Writing
+    into its column raises ``ValueError``.  The fault campaigns flip bits
+    and ``reference_run`` keeps entry states through it.  It is unset by
+    default.
     """
 
     def __init__(self, mode: str, fd: str | None = None, unroll: int = 1):
@@ -240,30 +244,36 @@ class Engine:
         """Run the 24 rounds, committing every ``unroll`` rounds.
 
         Detection schedule: prime at entry, check at each group's first
-        round against the last prime, re-prime at each commit.  The
-        shadows are invalidated on exit because the shift phases that
-        follow change the state without theta taps to compare against.
+        round against the last prime, re-prime at each commit that another
+        group reads.  The shadows are invalidated on exit because the
+        shift phases that follow change the state without theta taps to
+        compare against.
         """
         if self.ratecount != SHIFT_RATE_BYTES:
             raise RuntimeError("permutation requires a completed 168-byte turn")
         outer_phase = self.phase
         self.phase = "permuting"
         a = np.frombuffer(bytes(self._state), "<u8").reshape(25, 1)
-        fd, hook = self.fd, self.hook
+        fd, hook, unroll = self.fd, self.hook, self.unroll
+        slots = NUM_ROUNDS // unroll
+        lanes = None
         if fd is not None:
-            sums = fd.prime(a)
-        for slot in range(NUM_ROUNDS // self.unroll):
+            lanes, c, f = fd.prime(a)
+        for slot in range(slots):
             if hook is not None:
-                a = hook(self, slot, a)
-                if fd is not None:
-                    sums = fd.sums(a)
+                a.flags.writeable = False
+                given, a = a, hook(self, slot, a)
+                if fd is not None and a is not given:
+                    lanes, c, f = fd.sums(a)
             if fd is not None:
-                fd.check(*sums)
-            for r in range(slot * self.unroll, (slot + 1) * self.unroll):
+                fd.check(c, f)
+            first = slot * unroll
+            a = round_step(a, first, lanes)
+            for r in range(first + 1, first + unroll):
                 a = round_step(a, r)
             self.cycles += 1
-            if fd is not None:
-                sums = fd.prime(a)
+            if fd is not None and slot + 1 < slots:
+                lanes, c, f = fd.prime(a)
         if fd is not None:
             fd.invalidate()
         self._state[:] = a.astype("<u8").tobytes()

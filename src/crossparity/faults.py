@@ -18,18 +18,21 @@ Outcomes of an injected run, judged against the fault-free digest:
 * ``benign``            no error, digest unaffected
 
 Faults reach the engine only through its commit-window hook, which takes
-and returns the (25, 1) ``uint64`` column of lanes the permutation runs
-on.  ``flip_hook`` builds the one that flips a pattern: it XORs a flip
-column built once from the pattern's state bits, flips the shadow bits in
-the detection unit's registers, and the engine then recomputes the sums
-its check reads.  ``inject_and_run`` runs one hash once from the start
-with that hook; given no fault-free digest, it first takes the digest of
-a ``reference_run``.  A ``ReferenceRun`` is one fault-free run with the
-detection unit attached, which must end with the error flag down; it
-keeps the digest and the entry state of each permutation as a (25, 1)
-column.  The engine-level campaigns take from it the digest of their
-trials without state flips and the column the others start from (see
-``campaigns``).
+the read-only (25, 1) ``uint64`` column of lanes the permutation runs on
+and returns the column the check reads.  ``flip_hook`` builds the one that
+flips a pattern: it flips the shadow bits in the detection unit's
+registers and, if the pattern has state bits, returns the column XORed
+with a flip column built once from them.  Only for that new column does
+the engine compute the window's sums again, for its check and its first
+theta; a shadow-only pattern returns the column it was given, and the
+check reads the sums the prime computed.  ``inject_and_run`` runs one
+hash once from the start with that hook; given no fault-free digest, it
+first takes the digest of a ``reference_run``.  A ``ReferenceRun`` is one
+fault-free run with the detection unit attached, which must end with the
+error flag down; it keeps the digest and the entry state of each
+permutation as a (25, 1) column.  The engine-level campaigns take from it
+the digest of their trials without state flips and the column the others
+start from (see ``campaigns``).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .keccak import NUM_ROUNDS
 REGISTER_WIDTHS = {"state": 1600, **SHADOW_WIDTHS}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FaultTarget:
     """One flippable bit: a register name and a bit index within it."""
 
@@ -60,7 +63,7 @@ class FaultTarget:
             raise ValueError(f"bit {self.bit} out of range for {self.register}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPattern:
     """A set of distinct targets flipped together in one window."""
 
@@ -80,7 +83,7 @@ class FaultPattern:
         return tuple(t.bit for t in self.targets if t.register == "state")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InjectionSchedule:
     """Where the flips land: which permutation of the run, which commit.
 
@@ -107,7 +110,7 @@ class InjectionSchedule:
                 f"({slots} slots)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InjectionResult:
     outcome: str
     error_raised: bool
@@ -118,7 +121,7 @@ class InjectionResult:
     emitted: bytes = field(repr=False, default=b"")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceRun:
     """A fault-free run with the detection unit attached: the entry state
     of each permutation, in run order, as a (25, 1) ``uint64`` column, and
@@ -130,12 +133,15 @@ class ReferenceRun:
 
 def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
     """The engine hook that flips ``pattern`` at the scheduled commit
-    window: state bits in the state the check reads, shadow bits in the
-    detection unit's registers."""
+    window: state bits in a copy of the state the check reads, shadow bits
+    in the detection unit's registers.  Without state bits it returns the
+    column it was given."""
     window = (schedule.permutation_index, schedule.commit_slot)
-    flips = np.zeros((25, 1), np.uint64)
-    for bit in pattern.state_bits:
-        flips[bit // 64] ^= 1 << bit % 64
+    flips = None
+    if pattern.state_bits:
+        flips = np.zeros((25, 1), np.uint64)
+        for bit in pattern.state_bits:
+            flips[bit // 64] ^= 1 << bit % 64
     shadow = [t for t in pattern.targets if t.register != "state"]
 
     def hook(eng: Engine, slot: int, state: np.ndarray) -> np.ndarray:
@@ -145,7 +151,7 @@ def flip_hook(pattern: FaultPattern, schedule: InjectionSchedule):
             raise RuntimeError("shadow-register fault without detection attached")
         for t in shadow:
             eng.fd.flip(t.register, t.bit)
-        return state ^ flips
+        return state if flips is None else state ^ flips
     return hook
 
 

@@ -17,10 +17,14 @@ Two protection levels over the 1600-bit state:
 Every shadow is a plain int in the layout of the value it copies (see
 ``keccak``): C' has bit 64*x + z, F' bit x + 5*y and C'_F bit x, so a
 fault target's bit index is the register bit it flips.  The engine taps
-each commit window once: ``prime`` computes the column sums (and, under
-z-sheet only, the lane sums) of the committed state, latches them and
-returns them, and the next check compares those same values, recomputed
-with ``sums`` only when the engine's hook may have changed the state.
+each commit window once: ``prime`` computes the (5, 1) column-sum lanes of
+the committed state, the C plane they form and, under z-sheet only, the
+lane sums, latches the two parities and returns all three.  The next check
+compares those same parities and the window's first theta reads the same
+lanes; ``sums`` computes them again only for a state the engine's hook has
+replaced, and then the shadows keep what the prime latched.  The engine
+primes at permutation entry and after every commit but the last, whose
+sums no check would read: 24/unroll primes and checks per permutation.
 
 The error flag is sticky until the engine is reset, and it is the
 engine's output gate: every digest byte squeezed after the flag goes up
@@ -32,7 +36,7 @@ state and the shadows of one window can cancel in the compare (see
 
 from __future__ import annotations
 
-from .keccak import column_sums, lane_sums
+from .keccak import as_column, column_lanes, lane_sums, plane_bits
 
 SCHEMES = ("c-plane", "z-sheet")
 
@@ -68,20 +72,23 @@ class FdRegisters:
         self.primed = False
         self.error = False
 
-    def sums(self, state) -> tuple[int, int]:
-        """The C plane and the F slice of a ``StateArray`` or (25, 1)
-        column, as ``check`` takes them; the F slice is 0 under c-plane."""
-        return column_sums(state), lane_sums(state) if self.scheme == "z-sheet" else 0
+    def sums(self, state) -> tuple:
+        """The (5, 1) column-sum lanes, the C plane and the F slice of a
+        ``StateArray`` or (25, 1) column: the lanes theta reads, then the
+        two parities ``check`` takes.  The F slice is 0 under c-plane."""
+        a = as_column(state)
+        lanes = column_lanes(a)
+        return lanes, plane_bits(lanes), lane_sums(a) if self.scheme == "z-sheet" else 0
 
-    def prime(self, committed) -> tuple[int, int]:
-        """Latch the sums of a committed state and return them."""
-        c, f = self.sums(committed)
+    def prime(self, committed) -> tuple:
+        """Latch the parities of a committed state; return its ``sums``."""
+        lanes, c, f = self.sums(committed)
         self.c_prime = c
         if self.scheme == "z-sheet":
             self.f_prime = f
             self.cf_prime = _f_column_parities(f)
         self.primed = True
-        return c, f
+        return lanes, c, f
 
     def invalidate(self) -> None:
         self.primed = False

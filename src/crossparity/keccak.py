@@ -8,9 +8,10 @@ vectors) use that linear index.
 
 The round is written once, on a (25, N) ``uint64`` array of N states, one
 per column, lane x + 5*y in row x + 5*y: ``round_step`` composes
-``theta_rows``, ``rho_pi_rows``, ``chi_rows`` and ``iota_rows``.  The engine
-keeps its state in one (25, 1) column for a whole permutation and the
-batched fault trials run many columns.  ``theta``, ``rho_pi``, ``chi``,
+``theta_rows``, ``rho_pi_rows`` and ``chi_rows``, and XORs the round constant
+into chi's fresh output in place (``iota_rows`` is the same step as a copy).
+The engine keeps its state in one (25, 1) column for a whole permutation and
+the batched fault trials run many columns.  ``theta``, ``rho_pi``, ``chi``,
 ``iota`` and ``permute`` run it on a ``StateArray`` as one column and return
 a ``StateArray``.
 
@@ -23,9 +24,13 @@ index is the index the rest of the package uses:
 * the F slice, ``lane_sums``: the lane parities F[x][y], 25 bits with
   bit x + 5*y (the ``f_prime`` fault target and the lane id i // 64).
 
-Both take a ``StateArray`` or a (25, 1) column.  The round function returns
-only the state; the engine taps each commit window once, from the column
-it commits.
+Both take a ``StateArray`` or a (25, 1) column.  ``column_lanes`` gives the
+C plane of a (25, N) array as the (5, N) lanes theta reads, and
+``theta_rows`` and ``round_step`` take those lanes as ``c`` instead of
+computing them again.  The engine computes them once per commit window:
+the prime, the check and the window's first theta all read them.  Only a
+state that the engine's hook replaces is summed again, and the last group
+has no prime after it, so a permutation makes 24/unroll of these taps.
 """
 
 from __future__ import annotations
@@ -121,18 +126,23 @@ _PI_LEFT = np.array(RHO_OFFSETS, dtype=np.uint64)[_PI_SRC, None]
 _PI_RIGHT = (64 - _PI_LEFT) % 64
 _NEXT = np.array([1, 2, 3, 4, 0])          # x + 1
 _PREV = np.array([4, 0, 1, 2, 3])          # x - 1
-_NEXT2 = np.array([2, 3, 4, 0, 1])         # x + 2
+# chi's two operands of lane x + 5*y: lanes (x+1, y) and (x+2, y)
+_CHI_NEXT = np.array([(x + 1) % 5 + 5 * y for y in range(5) for x in range(5)])
+_CHI_NEXT2 = np.array([(x + 2) % 5 + 5 * y for y in range(5) for x in range(5)])
 _RC = np.array(ROUND_CONSTANTS, dtype=np.uint64)
 
 
-def _columns(a):
+def column_lanes(a):
     """The (5, N) column-sum lanes: bit z of entry x is C[x][z]."""
     return np.bitwise_xor.reduce(a.reshape(5, 5, -1), axis=0)
 
 
-def theta_rows(a):
-    """Theta layer: D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64."""
-    c = _columns(a)
+def theta_rows(a, c=None):
+    """Theta layer: D[x][z] = C[x-1][z] xor C[x+1][z-1], z index mod 64.
+
+    ``c`` is ``column_lanes(a)`` when the caller has it already."""
+    if c is None:
+        c = column_lanes(a)
     c_next = c.take(_NEXT, 0)
     d = c.take(_PREV, 0) ^ (c_next << 1 | c_next >> 63)
     return (a.reshape(5, 5, -1) ^ d).reshape(25, -1)
@@ -146,28 +156,34 @@ def rho_pi_rows(a):
 
 def chi_rows(a):
     """Row-wise nonlinear layer: a[x] ^= ~a[x+1] & a[x+2]."""
-    b = a.reshape(5, 5, -1)
-    return (b ^ ~b.take(_NEXT, 1) & b.take(_NEXT2, 1)).reshape(25, -1)
+    return a ^ ~a.take(_CHI_NEXT, 0) & a.take(_CHI_NEXT2, 0)
+
+
+def _round_constant(round_index: int):
+    if not 0 <= round_index < NUM_ROUNDS:
+        raise ValueError(f"round index {round_index} out of range")
+    return _RC[round_index]
 
 
 def iota_rows(a, round_index: int):
     """XOR round constant ``round_index`` into lane 0 of every column."""
-    if not 0 <= round_index < NUM_ROUNDS:
-        raise ValueError(f"round index {round_index} out of range")
     out = a.copy()
-    out[0] ^= _RC[round_index]
+    out[0] ^= _round_constant(round_index)
     return out
 
 
-def round_step(a, round_index: int):
-    """One full round on every column."""
-    return iota_rows(chi_rows(rho_pi_rows(theta_rows(a))), round_index)
+def round_step(a, round_index: int, c=None):
+    """One full round on every column; ``c`` as for ``theta_rows``."""
+    rc = _round_constant(round_index)
+    out = chi_rows(rho_pi_rows(theta_rows(a, c)))
+    out[0] ^= rc
+    return out
 
 
 # ----------------------------------------------------------------------
 # the parity taps of one state, and the steps on one StateArray
 
-def _column(state):
+def as_column(state):
     """A ``StateArray`` as a (25, 1) column; a column as it is."""
     if isinstance(state, StateArray):
         return np.array(state.lanes, np.uint64)[:, None]
@@ -175,19 +191,23 @@ def _column(state):
 
 
 def _one_column(step, state: StateArray, *args) -> StateArray:
-    a = step(_column(state), *args)
+    a = step(as_column(state), *args)
     return StateArray(tuple(a[:, 0].tolist()))
+
+
+def plane_bits(c) -> int:
+    """The (5, 1) column-sum lanes of one state as the C plane int."""
+    return int.from_bytes(c.astype("<u8").tobytes(), "little")
 
 
 def column_sums(state) -> int:
     """The C plane: bit 64*x + z is the parity of column (x, z)."""
-    c = _columns(_column(state))
-    return int.from_bytes(c.astype("<u8").tobytes(), "little")
+    return plane_bits(column_lanes(as_column(state)))
 
 
 def lane_sums(state) -> int:
     """The F slice: bit x + 5*y is the parity of lane (x, y)."""
-    odd = np.bitwise_count(_column(state)[:, 0]) & 1
+    odd = np.bitwise_count(as_column(state)[:, 0]) & 1
     return int.from_bytes(np.packbits(odd, bitorder="little").tobytes(), "little")
 
 

@@ -10,6 +10,7 @@ import math
 import random
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -446,8 +447,10 @@ def test_a_broken_pool_is_replaced(pool_starts):
     run_campaign(POOLED, workers=2)
     for proc in list(campaigns._pool[1]._processes.values()):
         proc.kill()
-        proc.join(timeout=10)
-        assert not proc.is_alive()
+        # The pool's own thread may reap the killed worker while this one
+        # joins it, and ``is_alive`` then reads the dead worker as alive.
+        # The sentinel is ready once the worker has exited, whoever reaps it.
+        assert wait([proc.sentinel], timeout=10)
     with pytest.raises(BrokenProcessPool):
         run_campaign(POOLED, workers=2)
     assert campaigns._pool is None

@@ -7,6 +7,7 @@ probed directly through the state bytes.
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracle_fips202 as oracle
+from crossparity import keccak
 from crossparity.engine import (
     DESIGN_FREQ_MHZ,
     MODES,
@@ -537,6 +539,99 @@ def test_a_hook_that_keeps_the_state_changes_nothing(monkeypatch, mode, scheme):
         assert runs[0] == runs[1], unroll
         assert runs[0][0] == reference_digest(mode, msg, n)
         assert runs[0][1] == read and len(read) == eng.permutation_index * 24 // unroll
+
+
+@pytest.fixture
+def taps(monkeypatch):
+    """Counts of primes, ``FdRegisters.sums`` calls (each prime makes one)
+    and the column sums theta computes itself, and each check's verdict."""
+    counts, verdicts = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    real_check = FdRegisters.check
+
+    def check(self, c, f):
+        verdicts.append(real_check(self, c, f))
+        return verdicts[-1]
+
+    monkeypatch.setattr(FdRegisters, "prime", counted("prime", FdRegisters.prime))
+    monkeypatch.setattr(FdRegisters, "sums", counted("sums", FdRegisters.sums))
+    monkeypatch.setattr(FdRegisters, "check", check)
+    monkeypatch.setattr(keccak, "column_lanes", counted("theta", keccak.column_lanes))
+    return counts, verdicts
+
+
+@pytest.mark.parametrize("scheme", [None, *SCHEMES])
+def test_each_window_computes_its_sums_once(taps, scheme):
+    # One prime and one check per commit window, and no prime after the
+    # last group.  Each window's first theta reads the column sums its
+    # prime computed, so theta computes its own only in a group's other
+    # rounds, or in every round without a checker.
+    counts, verdicts = taps
+    for unroll in UNROLL_FACTORS:
+        counts.clear()
+        verdicts.clear()
+        eng = Engine("sha3-256", fd=scheme, unroll=unroll)
+        eng.finish()
+        windows = 24 // unroll if scheme else 0
+        assert [counts["prime"], counts["sums"], len(verdicts)] == [windows] * 3, unroll
+        assert counts["theta"] == 24 - windows and not any(verdicts)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("unroll", UNROLL_FACTORS)
+def test_only_a_changed_column_is_summed_again(taps, scheme, unroll):
+    # A hook that returns its column makes the engine compute no sums
+    # again.  One that returns a flipped column at one window makes it
+    # compute them once, for that window's check, which fires, and for its
+    # first theta: the run ends in the state an unchecked run reaches.
+    counts, verdicts = taps
+    windows, at = 24 // unroll, 24 // unroll // 2
+    flips = np.zeros((25, 1), np.uint64)
+    flips[7] = 1 << 40
+
+    def keep(eng, slot, state):
+        return state
+
+    def flip(eng, slot, state):
+        return state ^ flips if slot == at else state
+
+    for hook, again in ((keep, 0), (flip, 1)):
+        plain = Engine("sha3-256", unroll=unroll)
+        plain.hook = hook
+        plain.finish()
+        counts.clear()
+        verdicts.clear()
+        eng = Engine("sha3-256", fd=scheme, unroll=unroll)
+        eng.hook = hook
+        eng.finish()
+        assert eng.state_bytes == plain.state_bytes
+        assert counts["prime"] == windows and counts["sums"] == windows + again
+        assert counts["theta"] == 24 - windows
+        assert verdicts == [again == 1 and slot == at for slot in range(windows)]
+        assert eng.masked == (again == 1)
+
+
+@pytest.mark.parametrize("fd", [None, "z-sheet"])
+@pytest.mark.parametrize("at", [0, 1])
+def test_a_hook_cannot_write_into_its_column(fd, at):
+    # The column of window 0 comes from the register, the later ones from
+    # the rounds; the hook must leave both as they are, or the check would
+    # read the sums of a state that is no longer there.
+    def write(eng, slot, state):
+        if slot == at:
+            state[7] ^= 1
+        return state
+
+    eng = Engine("sha3-256", fd=fd, unroll=4)
+    eng.hook = write
+    with pytest.raises(ValueError, match="read-only"):
+        eng.finish()
 
 
 # ----------------------------------------------------------------------

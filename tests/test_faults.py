@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from crossparity.campaigns import _run_batch
+from crossparity.engine import Engine
 from crossparity.fd import SCHEMES, SHADOW_WIDTHS, FdRegisters, detectability_predicate
 from crossparity.faults import (
     REGISTER_WIDTHS,
     FaultPattern,
     FaultTarget,
     InjectionSchedule,
+    flip_hook,
     inject_and_run,
     reference_run,
 )
@@ -122,6 +124,25 @@ def test_shadow_flip_is_spurious():
         assert res.error_raised
         assert res.digest == res.golden
         assert res.emitted == bytes(32)
+
+
+def test_only_state_bits_make_the_hook_return_a_new_column():
+    # The engine computes a window's sums again only for a new column, so
+    # a pattern without state bits hands back the one it was given.
+    state = np.arange(25, dtype=np.uint64)[:, None]
+    state.flags.writeable = False
+    at = InjectionSchedule(0, 3)
+    for targets, c_prime in (((FaultTarget("c_prime", 77),), 1 << 77), ((), 0)):
+        eng = Engine("sha3-256", fd="z-sheet")
+        assert flip_hook(FaultPattern(targets), at)(eng, 3, state) is state
+        assert eng.fd.c_prime == c_prime
+    eng = Engine("sha3-256", fd="z-sheet")
+    pattern = FaultPattern((FaultTarget("state", 65), FaultTarget("f_prime", 1)))
+    hook = flip_hook(pattern, at)
+    assert hook(eng, 2, state) is state
+    flipped = hook(eng, 3, state)
+    assert flipped.tolist() == [[i ^ 2 if i == 1 else i] for i in range(25)]
+    assert eng.fd.f_prime == 2
 
 
 def test_empty_pattern_is_benign():

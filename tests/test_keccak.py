@@ -20,6 +20,7 @@ from crossparity.keccak import (
     ROUND_CONSTANTS,
     StateArray,
     chi,
+    column_lanes,
     column_sums,
     iota,
     lane_sums,
@@ -382,6 +383,22 @@ def test_round_step_matches_oracle_per_column():
             assert from_column(got[:, col:col + 1]) == want, (rnd, col)
             assert np.array_equal(round_step(batch[:, col:col + 1], rnd)[:, 0], got[:, col])
     assert np.array_equal(batch, before)
+
+
+@pytest.mark.parametrize("n", [1, 40, 1024])
+def test_round_step_on_given_column_lanes_matches_oracle(n):
+    # The engine hands a window's first theta the column-sum lanes its
+    # prime computed; the round must be the one that computes them itself.
+    # The batch is read-only, so neither path may write into its input.
+    rng = random.Random(f"lanes/{n}")
+    a = np.frombuffer(rng.randbytes(200 * n), "<u8").reshape(n, 25).T
+    for rnd in (0, 7, 23):
+        got = round_step(a, rnd, column_lanes(a))
+        assert np.array_equal(got, round_step(a, rnd)), rnd
+        for col in range(n):
+            sa = StateArray(tuple(a[:, col].tolist()))
+            want = from_oracle(oracle.keccak_round(oracle_state(sa), rnd))
+            assert from_column(got[:, col:col + 1]) == want, (rnd, col)
 
 
 def test_permutation_of_zero_state_known_lanes():
