@@ -29,6 +29,19 @@ from crossparity.engine import (
 )
 
 
+def peak_rss():
+    """The process's peak resident set from /proc/self/status, as
+    ", peak RSS (VmHWM) <n> MiB", or "" where that file does not exist."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return f", peak RSS (VmHWM) {int(line.split()[1]) / 1024:.1f} MiB"
+    except FileNotFoundError:
+        pass
+    return ""
+
+
 def banner(text):
     print()
     print(text)
@@ -125,7 +138,7 @@ def main(argv=None):
         print(f"  {mode:9s}" + "".join(f"{c:>22s}" for c in cells))
     print(f"  clocks: " + ", ".join(f"{s} {f} MHz" for s, f in DESIGN_FREQ_MHZ.items()))
 
-    print(f"\ntotal wall time: {time.perf_counter() - t_start:.1f}s")
+    print(f"\ntotal wall time: {time.perf_counter() - t_start:.1f}s{peak_rss()}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)

@@ -23,18 +23,22 @@ key: the canonical id of its column mask (the XOR of the two masks for a
 pair), combined under z-sheet with the id of its lane mask.  A flip set
 escapes exactly when the keys of its two halves are equal, so the
 escapes of each head of an exhaustive sweep are one run of a sorted key
-table, counted for every head at once.  A k = 4 head is itself an entry
-of the pair table, so it reads where its run ends from a cached table
-and searches for where its escapes start only when an entry of its key
-follows it.  Monte Carlo instead XORs a 64-bit fingerprint of each
+table, counted for every head at once.  A k <= 2 sweep reads only the
+single-position table (a k = 2 pattern is one position after another),
+so the pair table is built only for k >= 3.  A k = 4 head is itself an
+entry of the pair table, so it reads where its run ends from a cached
+table and searches for where its escapes start only when an entry of its
+key follows it.  Monte Carlo instead XORs a 64-bit fingerprint of each
 sampled position, which every escaping row folds to zero, and sorts only
 the rows that fold to zero for the exact per-class check.  It finds the
 samples with a repeated position by comparing every pair of columns up
-to k = ``_PAIRS_MAX_K``, and by sorting each row past it.  Campaigns
-whose scope includes shadow registers give each trial the outcome of an
-engine run, since only the digest can tell a false alarm from real
-corruption.  Every trial hashes the same fixed message, one permutation
-long.  Its flag is the syndrome predicate's, which is what the engine's
+to k = ``_PAIRS_MAX_K``, and by sorting each row past it.  Both the
+repeat search and the fold run over fixed blocks of ``_BLOCK_MC`` rows,
+so a chunk holds no array of its size beyond its draws and a row mask.
+Campaigns whose scope includes shadow registers give each trial the
+outcome of an engine run, since only the digest can tell a false alarm
+from real corruption.  Every trial hashes the same fixed message, one
+permutation long.  Its flag is the syndrome predicate's, which is what the engine's
 checks compute, and only trials with state flips run the rounds, as
 numpy rows that start from the entry state of one shared fault-free run;
 a trial without them keeps that run's digest (see ``_run_batch`` for why
@@ -81,12 +85,17 @@ STRATEGIES = ("exhaustive-sheet", "exhaustive-global", "random")
 # depend on the worker count
 _CHUNK_MC = 1 << 16
 
-# largest k at which a Monte Carlo chunk compares every pair of columns to
-# find repeats and folds column by column.  Past it one sort and one
-# reduction per row are cheaper: a 2^16-row z-sheet chunk takes about
-# 4.5 ms against 10.8 ms at k = 6, breaks even near k = 19 and takes
-# 52 ms against 31 ms at k = 32 (2 vCPUs)
+# largest k at which a Monte Carlo chunk finds repeats by comparing every
+# pair of columns of a transposed row block.  Past it sorting each row is
+# cheaper: a 2^16-row z-sheet chunk takes about 2.8 ms against 5.7 ms at
+# k = 6, breaks even near k = 16 and takes 42 ms against 25 ms at k = 32
+# (2 vCPUs)
 _PAIRS_MAX_K = 16
+
+# rows per block of a Monte Carlo chunk: each repeat search and fold runs
+# over one block at a time, so its temporaries are bounded by the block
+# (at most 1 MiB, the sorted block at k = 64) whatever the chunk size
+_BLOCK_MC = 1 << 12
 
 # engine-level trials per batch; fixed so that memory stays bounded for any
 # trial count
@@ -94,7 +103,7 @@ _CHUNK_FULLSIM = 1 << 10
 
 # largest k over the state: a sweep's heads and entries are at most pairs,
 # and _sample_distinct redraws a whole row on any repeat.  At k = 64 about
-# 72% of rows hold one and a chunk takes about 0.15 s (2 vCPUs); the share
+# 72% of rows hold one and a chunk takes about 0.12 s (2 vCPUs); the share
 # of distinct rows falls off as exp(-k(k - 1) / 3200), so the redraws grow
 # fast past 64
 _MAX_K = {"exhaustive-sheet": 4, "exhaustive-global": 4, "random": 64}
@@ -299,11 +308,12 @@ def _pair_keys(scheme: str, space: int):
 
 @lru_cache(maxsize=None)
 def _run_ends(scheme: str, space: int):
-    """(end, live) for the ranked pair table: where each pair's key run
-    ends in ``ranked`` (int32), and the pairs that some later entry of
-    their run follows, in index order.  Kept apart from ``_pair_keys``, so
-    that only a k = 4 sweep builds them."""
-    *_, ranked = _pair_keys(scheme, space)
+    """(begin, end, live) for the ranked pair table as the heads of a k = 4
+    sweep: the index of the first pair after each pair, where each pair's
+    key run ends in ``ranked`` (both int32), and the pairs that some later
+    entry of their run follows, in index order.  Kept apart from
+    ``_pair_keys``, so that only a k = 4 sweep builds them."""
+    _, b, start, _, ranked = _pair_keys(scheme, space)
     n = len(ranked)
     pair, run_key = ranked % n, ranked // n
     same = run_key[1:] == run_key[:-1]          # ranks r and r + 1 share a key
@@ -312,7 +322,7 @@ def _run_ends(scheme: str, space: int):
     end[pair] = np.repeat(ends, np.diff(ends, prepend=0))
     live = np.zeros(n, dtype=bool)
     live[pair[:-1][same]] = True
-    return end, np.flatnonzero(live)
+    return start[b + 1].astype(np.int32), end, np.flatnonzero(live)
 
 
 def _sheet_bit_to_state(sheet: int, pos: int) -> int:
@@ -329,31 +339,34 @@ def _witness(bits) -> tuple:
 
 def _escapes(scheme: str, space: int, k: int):
     """Per head of a weight-k sweep: (first entry after it, first escaping
-    entry in ``ranked``, escaping entry count).
+    entry in the ranked table of its entries, escaping entry count).
 
-    A pattern is a head (empty for k <= 2, a first position for k = 3, a
-    first pair for k = 4) and one table entry after it, and escapes when
-    the entry's key equals the head's (0 for the empty head).  A head's
-    escaping entries are the entries of its key run from the first one
-    after it on.  For k <= 3 two binary searches find the run's two ends.
-    A k = 4 head is a pair, so its run is its own: it reads the run's end
-    from ``_run_ends``, and only a head that some entry of its run follows
-    searches for the start.
+    A pattern is a head (empty for k = 1, a first position for k = 2 and
+    3, a first pair for k = 4) and one table entry after it (a position for
+    k <= 2, a pair past that), and escapes when the entry's key equals the
+    head's (0 for the empty head).  So k <= 2 reads only the single-key
+    table, and only k >= 3 builds the pair table.  A head's escaping
+    entries are the entries of its key run from the first one after it on.
+    For k <= 3 two binary searches find the run's two ends.  A k = 4 head
+    is a pair, so its run is its own: it reads its first entry and the
+    run's end from ``_run_ends``, and only a head that some entry of its
+    run follows searches for the start.
     """
     single, ranked = _single_keys(scheme, space)
-    if k > 1:
-        a, b, start, key, ranked = _pair_keys(scheme, space)
-    n = len(ranked)
-    if k <= 2:
+    if k == 1:
         target, begin = np.zeros(1, np.int64), np.zeros(1, np.int64)
-    elif k == 3:
-        target, begin = single[:space - 2], start[1:space - 1]
+    elif k == 2:
+        target, begin = single[:space - 1], np.arange(1, space)
     else:
-        begin = start[b + 1]
-        end, live = _run_ends(scheme, space)
-        first = end.astype(np.int64)
-        first[live] = np.searchsorted(ranked, key[live].astype(np.int64) * n + begin[live])
-        return begin, first, end - first
+        _, _, start, key, ranked = _pair_keys(scheme, space)
+        if k == 4:
+            begin, end, live = _run_ends(scheme, space)
+            first = end.copy()
+            first[live] = np.searchsorted(
+                ranked, key[live].astype(np.int64) * len(ranked) + begin[live])
+            return begin, first, end - first
+        target, begin = single[:space - 2], start[1:space - 1]
+    n = len(ranked)
     base = target.astype(np.int64) * n
     first = np.searchsorted(ranked, base + begin)
     return begin, first, np.searchsorted(ranked, base + n) - first
@@ -366,7 +379,7 @@ def _sweep(scheme: str, space: int, k: int):
     patterns as position tuples, in enumeration order).
     """
     begin, first, counts = _escapes(scheme, space, k)
-    if k == 1:
+    if k <= 2:
         _, ranked = _single_keys(scheme, space)
     else:
         a, b, _, _, ranked = _pair_keys(scheme, space)
@@ -376,26 +389,35 @@ def _sweep(scheme: str, space: int, k: int):
         room = MAX_WITNESSES - len(patterns)
         if not room:
             break
-        head = () if k <= 2 else (int(h),) if k == 3 else (int(a[h]), int(b[h]))
+        head = () if k == 1 else (int(h),) if k <= 3 else (int(a[h]), int(b[h]))
         for q in ranked[first[h]:first[h] + min(counts[h], room)] % n:
-            patterns.append(head + ((int(q),) if k == 1 else (int(a[q]), int(b[q]))))
-    return int(np.sum(n - begin)), int(counts.sum()), patterns
+            patterns.append(head + ((int(q),) if k <= 2 else (int(a[q]), int(b[q]))))
+    # every head is followed by the n - begin entries from its first one on
+    return n * len(begin) - int(begin.sum()), int(counts.sum()), patterns
 
 
 def _has_repeat(rows):
     """Per row of an (m, k) array: does some value occur in it twice?
 
-    Up to ``_PAIRS_MAX_K`` every pair of columns is compared; past it the
-    rows are sorted and each compared with itself shifted by one.
+    Runs over blocks of ``_BLOCK_MC`` rows.  Up to ``_PAIRS_MAX_K`` every
+    pair of columns of a block is compared, on one transposed copy of the
+    block; past it the block's rows are sorted and each compared with
+    itself shifted by one.
     """
-    k = rows.shape[1]
+    m, k = rows.shape
+    bad = np.zeros(m, dtype=bool)
     if k > _PAIRS_MAX_K:
-        srt = np.sort(rows, axis=1)
-        return (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-    cols = np.ascontiguousarray(rows.T)
-    bad = np.zeros(len(rows), dtype=bool)
-    for i, j in combinations(range(k), 2):
-        bad |= cols[i] == cols[j]
+        for lo in range(0, m, _BLOCK_MC):
+            srt = np.sort(rows[lo:lo + _BLOCK_MC], axis=1)
+            np.any(srt[:, 1:] == srt[:, :-1], axis=1, out=bad[lo:lo + _BLOCK_MC])
+        return bad
+    cols = np.empty((k, min(m, _BLOCK_MC)), dtype=rows.dtype)
+    for lo in range(0, m, _BLOCK_MC):
+        out = bad[lo:lo + _BLOCK_MC]
+        col = cols[:, :len(out)]
+        np.copyto(col, rows[lo:lo + _BLOCK_MC].T)
+        for i, j in combinations(range(k), 2):
+            out |= col[i] == col[j]
     return bad
 
 
@@ -404,21 +426,17 @@ def _sample_distinct(rng, n_rows, k, space):
 
     A row with a repeat is redrawn whole, in row order, until none is
     left.  Rows not redrawn stay distinct, so each pass after the first
-    checks only the rows it redrew.  Up to ``_PAIRS_MAX_K`` the array is
-    column-major, so that each column, which ``_has_repeat`` compares and
-    ``_mc_chunk`` folds, is contiguous.
+    checks only the rows it redrew, reading the redraws themselves.
+    ``_has_repeat`` reads in row blocks, so the only arrays of the chunk's
+    size are the draws and one row mask.
     """
     arr = rng.integers(0, space, size=(n_rows, k), dtype=np.int32)
-    if k <= _PAIRS_MAX_K:
-        arr = np.asfortranarray(arr)
-    rows = np.arange(n_rows)
-    bad = _has_repeat(arr)
-    while True:
-        rows = rows[bad]
-        if not len(rows):
-            return arr
-        arr[rows] = rng.integers(0, space, size=(len(rows), k), dtype=np.int32)
-        bad = _has_repeat(arr[rows])
+    rows = np.flatnonzero(_has_repeat(arr))
+    while len(rows):
+        redraw = rng.integers(0, space, size=(len(rows), k), dtype=np.int32)
+        arr[rows] = redraw
+        rows = rows[_has_repeat(redraw)]
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -450,23 +468,27 @@ def _mc_chunk(args):
     """One Monte Carlo chunk (top level so it pickles): the undetected
     count and the first undetected draws.
 
-    The fingerprints are folded column by column up to ``_PAIRS_MAX_K``,
-    where ``_sample_distinct`` leaves each column contiguous, and row by
-    row past it.  Only the rows whose fingerprints fold to zero, the
-    escapes and the rare 64-bit collision, go through the exact per-class
+    The fingerprints are folded over blocks of ``_BLOCK_MC`` rows, column
+    by column into one buffer, and each block's zero test goes into one
+    row mask.  Only the rows whose fingerprints fold to zero, the escapes
+    and the rare 64-bit collision, go through the exact per-class
     check."""
     scheme, k, seed, chunk_index, n = args
     rng = np.random.default_rng([seed, chunk_index])
     arr = _sample_distinct(rng, n, k, 1600)
     fp = _fingerprints(scheme)
-    if k > _PAIRS_MAX_K:
-        fold = np.bitwise_xor.reduce(fp[arr], axis=1)
-    else:
-        cols = arr.T
-        fold = fp[cols[0]]
-        for col in cols[1:]:
-            fold ^= fp[col]
-    und = np.flatnonzero(fold == 0)
+    zero = np.empty(n, dtype=bool)
+    fold, buf = np.empty((2, min(n, _BLOCK_MC)), dtype=np.uint64)
+    for lo in range(0, n, _BLOCK_MC):
+        block = arr[lo:lo + _BLOCK_MC]
+        m = len(block)
+        # every draw is in range(1600), so clipping never acts; it spares
+        # ``take`` the buffered range check
+        fp.take(block[:, 0], out=fold[:m], mode="clip")
+        for j in range(1, k):
+            fold[:m] ^= fp.take(block[:, j], out=buf[:m], mode="clip")
+        np.equal(fold[:m], 0, out=zero[lo:lo + m])
+    und = np.flatnonzero(zero)
     for cls, _ in _classes(scheme, 1600):
         und = und[_rows_all_even(cls[arr[und]])]
     return len(und), arr[und[:MAX_WITNESSES]]

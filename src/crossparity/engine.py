@@ -247,11 +247,13 @@ class Engine:
         round against the last prime, re-prime at each commit that another
         group reads.  The shadows are invalidated on exit because the
         shift phases that follow change the state without theta taps to
-        compare against.
+        compare against.  If the hook raises, the engine is left as it was
+        at entry, apart from the shadows, which are invalidated, and the
+        sticky error flag, which keeps what the checks before it raised.
         """
         if self.ratecount != SHIFT_RATE_BYTES:
             raise RuntimeError("permutation requires a completed 168-byte turn")
-        outer_phase = self.phase
+        outer_phase, entry_cycles = self.phase, self.cycles
         self.phase = "permuting"
         a = np.frombuffer(bytes(self._state), "<u8").reshape(25, 1)
         fd, hook, unroll = self.fd, self.hook, self.unroll
@@ -259,23 +261,29 @@ class Engine:
         lanes = None
         if fd is not None:
             lanes, c, f = fd.prime(a)
-        for slot in range(slots):
-            if hook is not None:
-                a.flags.writeable = False
-                given, a = a, hook(self, slot, a)
-                if fd is not None and a is not given:
-                    lanes, c, f = fd.sums(a)
+        try:
+            for slot in range(slots):
+                if hook is not None:
+                    a.flags.writeable = False
+                    given, a = a, hook(self, slot, a)
+                    if fd is not None and a is not given:
+                        lanes, c, f = fd.sums(a)
+                if fd is not None:
+                    fd.check(c, f)
+                first = slot * unroll
+                a = round_step(a, first, lanes)
+                for r in range(first + 1, first + unroll):
+                    a = round_step(a, r)
+                self.cycles += 1
+                if fd is not None and slot + 1 < slots:
+                    lanes, c, f = fd.prime(a)
+        except BaseException:
+            # the register and ratecount are written only after the loop
+            self.phase, self.cycles = outer_phase, entry_cycles
+            raise
+        finally:
             if fd is not None:
-                fd.check(c, f)
-            first = slot * unroll
-            a = round_step(a, first, lanes)
-            for r in range(first + 1, first + unroll):
-                a = round_step(a, r)
-            self.cycles += 1
-            if fd is not None and slot + 1 < slots:
-                lanes, c, f = fd.prime(a)
-        if fd is not None:
-            fd.invalidate()
+                fd.invalidate()
         self._state[:] = a.astype("<u8").tobytes()
         self.ratecount = 0
         self.permutation_index += 1

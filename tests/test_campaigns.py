@@ -263,7 +263,8 @@ def test_census_matches_golden():
 
 def _keys_equal(scheme, space, positions):
     """Verdict of the key tables: the keys of the two halves are equal
-    (a single position against a pair for k = 3, the empty key 0 for k <= 2)."""
+    (a single position against a pair for k = 3, the empty key 0 for k <= 2,
+    which for k = 2 is the two positions sharing a key)."""
     single, _ = _single_keys(scheme, space)
     a, b, start, key, _ = _pair_keys(scheme, space)
 
@@ -276,6 +277,7 @@ def _keys_equal(scheme, space, positions):
     if len(ps) == 1:
         return single[ps[0]] == 0
     if len(ps) == 2:
+        assert (pair(*ps) == 0) == (single[ps[0]] == single[ps[1]])
         return pair(*ps) == 0
     if len(ps) == 3:
         return single[ps[0]] == pair(*ps[1:])
@@ -309,12 +311,16 @@ def test_keys_agree_with_detectability_predicate(scheme, space, ks):
 
 
 def test_global_singles_build_no_pair_table():
+    # k = 2 reads only the single keys, in both spaces and both schemes
     _pair_keys.cache_clear()
-    for scheme in ("c-plane", "z-sheet"):
-        run_campaign(CampaignSpec(scheme=scheme, k=1, strategy="exhaustive-global"),
-                     workers=1)
+    _single_keys.cache_clear()
+    for strategy in ("exhaustive-sheet", "exhaustive-global"):
+        for scheme in SCHEMES:
+            for k in (1, 2):
+                run_campaign(CampaignSpec(scheme=scheme, k=k, strategy=strategy),
+                             workers=1)
     assert _pair_keys.cache_info().currsize == 0
-    assert _single_keys.cache_info().currsize >= 2
+    assert _single_keys.cache_info().currsize == 4
 
 
 def _two_search_escapes(scheme, space):
@@ -337,13 +343,13 @@ def test_quad_heads_match_two_searches(scheme, space):
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(first, want_first)
     # some heads search for their escapes and some do not; some escape
-    _, live = _run_ends(scheme, space)
+    *_, live = _run_ends(scheme, space)
     assert 0 < len(live) < len(counts) and counts.any()
 
 
 def test_sweeps_below_quads_build_no_run_end_table():
-    # the benchmark's global c-plane k = 2 sweep among them, so its memory
-    # stays that of the pair table
+    # the benchmark's global c-plane k = 2 sweep among them, which builds
+    # neither this table nor the pair table
     _run_ends.cache_clear()
     for strategy in ("exhaustive-sheet", "exhaustive-global"):
         for scheme in SCHEMES:
@@ -780,33 +786,40 @@ class _PlantedRepeats:
         return out
 
 
+# chunk sizes that are not a whole number of row blocks, among them the
+# 4464-trial tail chunk of a 70,000-trial campaign
+PARTIAL_CHUNKS = (1, campaigns._BLOCK_MC - 1, campaigns._BLOCK_MC + 1,
+                  70_000 % campaigns._CHUNK_MC)
+
+
 @pytest.mark.parametrize("k", SAMPLED_KS)
 def test_sampler_redraws_planted_repeats(k):
-    n = 4096
-    ours, theirs = _PlantedRepeats(k, k), _PlantedRepeats(k, k)
-    got = campaigns._sample_distinct(ours, n, k, 1600)
-    assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600))
-    assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
-    assert all(len(set(row)) == k for row in got.tolist())
+    for n in (4096, *PARTIAL_CHUNKS):
+        ours, theirs = _PlantedRepeats(k, k), _PlantedRepeats(k, k)
+        got = campaigns._sample_distinct(ours, n, k, 1600)
+        assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600)), n
+        assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+        assert all(len(set(row)) == k for row in got.tolist())
 
 
 @pytest.mark.parametrize("k", SAMPLED_KS)
 def test_monte_carlo_chunks_match_the_oracle(k):
-    n = campaigns._CHUNK_MC if k <= 8 else 4096
-    for seed, chunk_index in ((0, 0), (5, 3), (2**32 - 1, 17)):
-        ours = np.random.default_rng([seed, chunk_index])
-        theirs = np.random.default_rng([seed, chunk_index])
-        got = campaigns._sample_distinct(ours, n, k, 1600)
-        assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600))
-        # the same rng calls: both generators end in the same state
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        for scheme in SCHEMES:
-            count, witnesses = campaigns._mc_chunk((scheme, k, seed, chunk_index, n))
-            want_count, want_witnesses = _oracle_chunk(scheme, k, seed, chunk_index, n)
-            assert count == want_count, (scheme, seed, chunk_index)
-            assert np.array_equal(witnesses, want_witnesses)
-            if (scheme, k) == ("c-plane", 2):   # about 170 escapes per chunk
-                assert count > 100
+    full = campaigns._CHUNK_MC if k <= 8 else 4096
+    for n in (full, *PARTIAL_CHUNKS):
+        for seed, chunk_index in ((0, 0), (5, 3), (2**32 - 1, 17)):
+            ours = np.random.default_rng([seed, chunk_index])
+            theirs = np.random.default_rng([seed, chunk_index])
+            got = campaigns._sample_distinct(ours, n, k, 1600)
+            assert np.array_equal(got, _oracle_sample(theirs, n, k, 1600))
+            # the same rng calls: both generators end in the same state
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            for scheme in SCHEMES:
+                count, witnesses = campaigns._mc_chunk((scheme, k, seed, chunk_index, n))
+                want_count, want_witnesses = _oracle_chunk(scheme, k, seed, chunk_index, n)
+                assert count == want_count, (scheme, seed, chunk_index, n)
+                assert np.array_equal(witnesses, want_witnesses)
+                if (scheme, k, n) == ("c-plane", 2, campaigns._CHUNK_MC):
+                    assert count > 100      # about 170 escapes per chunk
 
 
 def test_monte_carlo_verdicts_rest_on_the_exact_check(monkeypatch):

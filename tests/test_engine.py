@@ -634,6 +634,44 @@ def test_a_hook_cannot_write_into_its_column(fd, at):
         eng.finish()
 
 
+def _missing_key(eng, slot, state):
+    if slot == 2:
+        raise KeyError(slot)
+    return state
+
+
+def _write_at_slot_2(eng, slot, state):
+    if slot == 2:
+        state[7] ^= 1
+    return state
+
+
+@pytest.mark.parametrize("fd", [None, "z-sheet"])
+@pytest.mark.parametrize("hook, error", [(_missing_key, KeyError),
+                                         (_write_at_slot_2, ValueError)])
+def test_a_raising_hook_leaves_the_permutation_at_its_entry(fd, hook, error):
+    # The hook raises in window 2, after two windows of rounds: the engine
+    # goes back to where the permutation started, so running it again
+    # without the hook finishes the hash.
+    rate = MODES["sha3-256"].rate_bytes
+    msg = bytes(range(200))
+    eng = Engine("sha3-256", fd=fd, unroll=4)
+    eng.hook = hook
+    with pytest.raises(error):
+        eng.absorb(msg)
+    assert (eng.phase, eng.ratecount, eng.cycles) == ("absorbing", SHIFT_RATE_BYTES,
+                                                      SHIFT_RATE_BYTES)
+    assert eng.state_bytes == msg[:rate] + bytes(200 - rate)
+    assert eng.permutation_index == 0
+    if fd is not None:
+        assert not eng.fd.primed and not eng.fd.error
+    eng.hook = None
+    eng.run_permutation()
+    eng.absorb(msg[rate:])
+    eng.finish()
+    assert eng.squeeze(32) == hash_message("sha3-256", msg, fd=fd, unroll=4)
+
+
 # ----------------------------------------------------------------------
 # throughput model
 

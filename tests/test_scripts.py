@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -27,6 +28,11 @@ def test_reproduce_results_quick(tmp_path, capsys):
     assert "silent corruption 0" in text
     # the five Monte Carlo lines and the two engine-level lines end in trials/s
     assert sum(line.endswith(" trials/s]") for line in text.splitlines()) == 7
+    # the process's peak memory beside the wall time, where Linux reports it
+    total = re.compile(r"total wall time: \d+\.\ds(, peak RSS \(VmHWM\) \d+\.\d MiB)?$")
+    line, = [line for line in text.splitlines() if line.startswith("total wall time")]
+    peak = total.fullmatch(line).group(1)
+    assert (peak is not None) == Path("/proc/self/status").exists()
     records = json.loads(out.read_text())
     # five sheets at k = 1..4, c-plane global k = 1, 2, global k = 4 of both
     # schemes, Monte Carlo k = 4..8, then the engine-level z-sheet campaign
