@@ -230,7 +230,9 @@ def _wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
 def worker_count(workers: int | None = None) -> int:
     """``workers``, else CROSSPARITY_WORKERS, else the available CPUs."""
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {workers!r}")
+        return workers
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -296,24 +298,37 @@ def _single_keys(scheme: str, space: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_keys(scheme: str, space: int):
-    """(a, b, start, key, ranked): the pairs a < b in enumeration order, the
-    index of the first pair whose a is each position, and the ranked keys."""
+def _pairs(space: int):
+    """(a, b, start): the pairs a < b in enumeration order and the index of
+    the first pair whose a is each position; one copy for both schemes."""
     a, b = np.triu_indices(space, 1)
     start = np.zeros(space + 1, dtype=np.int64)
     start[1:] = np.cumsum(space - 1 - np.arange(space))
-    return (a.astype(np.int16), b.astype(np.int16), start,
-            *_ranked(_key_table(scheme, space, (a, b))))
+    return a.astype(np.int16), b.astype(np.int16), start
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(scheme: str, space: int):
+    """(a, b, start, key, ranked): ``_pairs`` and the ranked pair keys."""
+    a, b, start = _pairs(space)
+    return a, b, start, *_ranked(_key_table(scheme, space, (a, b)))
+
+
+@lru_cache(maxsize=None)
+def _next_pairs(space: int):
+    """The index of the first pair after each pair (int32), for both schemes."""
+    _, b, start = _pairs(space)
+    return start[b + 1].astype(np.int32)
 
 
 @lru_cache(maxsize=None)
 def _run_ends(scheme: str, space: int):
     """(begin, end, live) for the ranked pair table as the heads of a k = 4
-    sweep: the index of the first pair after each pair, where each pair's
-    key run ends in ``ranked`` (both int32), and the pairs that some later
-    entry of their run follows, in index order.  Kept apart from
-    ``_pair_keys``, so that only a k = 4 sweep builds them."""
-    _, b, start, _, ranked = _pair_keys(scheme, space)
+    sweep: ``_next_pairs``, where each pair's key run ends in ``ranked``
+    (int32), and the pairs that some later entry of their run follows, in
+    index order.  Kept apart from ``_pair_keys``, so that only a k = 4
+    sweep builds them."""
+    ranked = _pair_keys(scheme, space)[4]
     n = len(ranked)
     pair, run_key = ranked % n, ranked // n
     same = run_key[1:] == run_key[:-1]          # ranks r and r + 1 share a key
@@ -322,7 +337,7 @@ def _run_ends(scheme: str, space: int):
     end[pair] = np.repeat(ends, np.diff(ends, prepend=0))
     live = np.zeros(n, dtype=bool)
     live[pair[:-1][same]] = True
-    return start[b + 1].astype(np.int32), end, np.flatnonzero(live)
+    return _next_pairs(space), end, np.flatnonzero(live)
 
 
 def _sheet_bit_to_state(sheet: int, pos: int) -> int:
@@ -758,7 +773,8 @@ def _census_witnesses(k: int, scheme: str, limit: int = MAX_WITNESSES) -> list:
             if len(out) >= limit:
                 break
     for bits in out:
-        assert not detectability_predicate(bits, scheme)
+        if detectability_predicate(bits, scheme):
+            raise AssertionError(f"census witness {bits} is detected under {scheme}")
     return [_witness(bits) for bits in out]
 
 

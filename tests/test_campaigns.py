@@ -372,6 +372,26 @@ def test_worker_count_from_environment(monkeypatch):
             worker_count()
 
 
+def test_worker_count_refuses_fewer_than_one_worker(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "3")
+    assert worker_count(2) == 2
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"workers must be a positive integer, got {bad!r}"):
+            worker_count(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            run_campaign(CampaignSpec(scheme="c-plane", k=1, strategy="exhaustive-sheet"),
+                         workers=bad)
+
+
+def test_both_schemes_share_one_pair_enumeration():
+    # a, b, start and the k = 4 heads' first entries depend on the space
+    # alone, so the two schemes' tables hold the same arrays
+    c_plane, z_sheet = _pair_keys("c-plane", 320), _pair_keys("z-sheet", 320)
+    assert all(c is z for c, z in zip(c_plane[:3], z_sheet[:3]))
+    assert c_plane[3] is not z_sheet[3]
+    assert _run_ends("c-plane", 320)[0] is _run_ends("z-sheet", 320)[0]
+
+
 # ----------------------------------------------------------------------
 # random strategy
 
@@ -666,6 +686,14 @@ def test_census_fraction_and_witnesses():
         assert detectability_predicate(census_witness_bits(witness),
                                        "z-sheet") is False
     assert undetected_census(3, "z-sheet").witnesses == []
+
+
+def test_census_refuses_a_detected_witness(monkeypatch):
+    # an explicit raise, so that python -O keeps the check
+    monkeypatch.setattr(campaigns, "detectability_predicate", lambda bits, scheme: True)
+    for k, scheme in ((2, "c-plane"), (4, "z-sheet"), (6, "z-sheet")):
+        with pytest.raises(AssertionError, match=f"detected under {scheme}"):
+            undetected_census(k, scheme)
 
 
 def test_census_contract_bounds():
